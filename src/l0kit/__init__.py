@@ -10,7 +10,8 @@ brute-force oracles, and a seeded benchmark harness.
 from .baselines import GreedyConfig, cosamp, htp, iht, keep_largest, omp
 from .harness import (ConfigError, ExperimentConfig, MetricRow, abs_linf, exact_support,
                       psnr, relative_l2, run_bench, run_sweep, run_trace)
-from .lsq import RestrictedLsqSolution, SingularGramError, solve_cg, solve_direct
+from .lsq import (GramCache, RestrictedLsqSolution, SingularGramError, solve_cg,
+                  solve_direct)
 from .operators import (CustomOperator, DenseOperator, PartialDctOperator,
                         SensingOperator, gen_bernoulli_operator, gen_gaussian_operator,
                         gen_partial_dct_operator, load_operator_binary,

@@ -6,12 +6,14 @@ the same SolveReport shape as the continuation solver.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lsq import solve_direct
-from .pdasc import CONVERGED, MAX_ITERS, LambdaRecord, SolveReport
+from .lsq import GramCache, finite_vector, solve_direct
+from .pdasc import (CONVERGED, MAX_ITERS, LambdaRecord, SolveReport, check_count,
+                    check_nonnegative)
 
 __all__ = ["GreedyConfig", "omp", "htp", "iht", "cosamp", "keep_largest"]
 
@@ -25,10 +27,13 @@ class GreedyConfig:
     step_policy: str = "fixed"     # IHT: "fixed" | "adaptive"
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("target sparsity T must be >= 1")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_count("T", self.T)
+        if self.max_iters is not None:
+            check_count("max_iters", self.max_iters)
+        check_nonnegative("tol", self.tol)
+        if not (isinstance(self.step_size, numbers.Real) and math.isfinite(self.step_size)
+                and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size!r}")
         if self.step_policy not in ("fixed", "adaptive"):
             raise ValueError(f"unknown step policy {self.step_policy!r}")
 
@@ -54,33 +59,35 @@ def omp(op, y, config, truth=None):
     column, re-solve, repeat T times (or stop early at the residual tolerance)."""
     if config.T > op.n:
         raise ValueError(f"OMP needs T <= n, got T={config.T} > n={op.n}")
-    y = np.asarray(y, dtype=float)
+    cache = GramCache(op, y)   # the support only grows: every column is reused
+    y = cache.y
     limit = config.T if config.max_iters is None else min(config.T, config.max_iters)
     support = []
     x = np.zeros(op.p)
-    r = y.copy()
+    dual = cache.aty
+    res_norm = float(np.linalg.norm(y))
     records = []
     for it in range(1, limit + 1):
-        corr = np.abs(op.adjoint_apply(r))
+        corr = np.abs(dual)
         corr[support] = -np.inf
         support.append(int(np.argmax(corr)))
-        sol = solve_direct(op, support, y)
+        sol = solve_direct(op, support, y, cache)
         x = np.zeros(op.p)
         x[np.sort(support)] = sol.x_active
-        r = sol.residual
-        records.append(_iter_record(it, x, r, truth))
-        if float(np.linalg.norm(r)) <= config.tol:
+        dual = sol.dual
+        res_norm = float(np.linalg.norm(sol.residual))
+        records.append(_record(it, x, res_norm, truth))
+        if res_norm <= config.tol:
             break
-    status = CONVERGED if (len(support) == config.T or np.linalg.norm(r) <= config.tol) \
-        else MAX_ITERS
+    status = CONVERGED if (len(support) == config.T or res_norm <= config.tol) else MAX_ITERS
     return _report(x, records, status, "omp")
 
 
 def htp(op, y, config, truth=None, x0=None):
     """Hard thresholding pursuit: select the T largest of |x + mu d|, solve on
     that set, repeat until the selection is a fixed point."""
-    y = np.asarray(y, dtype=float)
-    x = np.zeros(op.p) if x0 is None else np.asarray(x0, dtype=float).copy()
+    y = finite_vector("y", y)
+    x = np.zeros(op.p) if x0 is None else finite_vector("x0", x0).copy()
     limit = 50 if config.max_iters is None else config.max_iters
     prev = None
     records = []
@@ -95,8 +102,9 @@ def htp(op, y, config, truth=None, x0=None):
         x = np.zeros(op.p)
         x[selected] = sol.x_active
         prev = selected
-        records.append(_iter_record(it, x, sol.residual, truth))
-        if float(np.linalg.norm(sol.residual)) <= config.tol:
+        res_norm = float(np.linalg.norm(sol.residual))
+        records.append(_record(it, x, res_norm, truth))
+        if res_norm <= config.tol:
             status = CONVERGED
             break
     return _report(x, records, status, "htp")
@@ -110,8 +118,8 @@ def iht(op, y, config, truth=None, x0=None):
     halves it until the residual does not increase, so accepted steps never
     push the residual up.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.zeros(op.p) if x0 is None else np.asarray(x0, dtype=float).copy()
+    y = finite_vector("y", y)
+    x = np.zeros(op.p) if x0 is None else finite_vector("x0", x0).copy()
     limit = 100 if config.max_iters is None else config.max_iters
     records = []
     status = MAX_ITERS
@@ -128,8 +136,8 @@ def iht(op, y, config, truth=None, x0=None):
         new_norm = float(np.linalg.norm(y - op.apply(proposal)))
         moved = not np.array_equal(proposal, x)
         x = proposal
-        records.append(_iter_record(it, x, y - op.apply(x), truth))
         res_norm = new_norm
+        records.append(_record(it, x, res_norm, truth))
         if res_norm <= config.tol or not moved:
             status = CONVERGED
             break
@@ -155,40 +163,34 @@ def _adaptive_step(op, y, x, g, T, res_norm):
 def cosamp(op, y, config, truth=None):
     """CoSaMP: merge the support with the top 2T of the dual, solve on the
     merged set, prune to the T largest."""
-    y = np.asarray(y, dtype=float)
+    y = finite_vector("y", y)
     x = np.zeros(op.p)
     r = y.copy()
     limit = 50 if config.max_iters is None else config.max_iters
     records = []
     status = MAX_ITERS
     for it in range(1, limit + 1):
-        merged = np.union1d(np.flatnonzero(x), _top_indices(op.adjoint_apply(r), 2 * config.T))
+        proxy = op.adjoint_apply(r)
+        merged = np.union1d(np.flatnonzero(x), _top_indices(proxy, 2 * config.T))
         if merged.size > op.n:
-            merged = _top_indices(op.adjoint_apply(r), op.n)  # keep the solve overdetermined
+            merged = _top_indices(proxy, op.n)  # keep the solve overdetermined
         sol = solve_direct(op, merged, y)
         z = np.zeros(op.p)
-        z[np.sort(merged)] = sol.x_active
+        z[merged] = sol.x_active
         new_x = keep_largest(z, config.T)
         r = y - op.apply(new_x)
         unchanged = np.array_equal(new_x, x)
         x = new_x
-        records.append(_iter_record(it, x, r, truth))
-        if float(np.linalg.norm(r)) <= config.tol or unchanged:
+        res_norm = float(np.linalg.norm(r))
+        records.append(_record(it, x, res_norm, truth))
+        if res_norm <= config.tol or unchanged:
             status = CONVERGED
             break
     return _report(x, records, status, "cosamp")
 
 
-def _iter_record(it, x, residual, truth):
-    support = np.flatnonzero(x)
-    overlap = excess = None
-    if truth is not None:
-        true_set = set(int(i) for i in truth.support)
-        inside = sum(1 for i in support if int(i) in true_set)
-        overlap, excess = inside, int(support.size) - inside
-    return LambdaRecord(k=it, lam=math.nan, active_size=int(support.size), inner_iters=1,
-                        residual=float(np.linalg.norm(residual)),
-                        overlap_true=overlap, excess_outside_true=excess)
+def _record(it, x, res_norm, truth):
+    return LambdaRecord.build(it, math.nan, np.flatnonzero(x), 1, res_norm, truth)
 
 
 def _report(x, records, status, solver):

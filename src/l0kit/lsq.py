@@ -1,11 +1,30 @@
-"""Restricted least squares on an active set: direct Cholesky and warm-started CG."""
+"""Restricted least squares on an active set: cached direct Cholesky and warm-started CG.
+
+A ``GramCache`` serves one solve (one continuation path, one OMP run) on one
+operator and one data vector. It holds Psi^t y, the columns fetched so far,
+their Gram block and each cached column's slot. A direct solve on a set A
+fetches only the columns of A it has not seen, extends the Gram block by their
+cross products with the cached columns, gathers the |A| x |A| submatrix and
+factors it with LAPACK ``potrf``/``potrs``. Along a path the set moves by a
+few indices per step, so almost every column and Gram entry is reused.
+
+Memory is bounded by the problem shape: the cache holds at most min(p, 2n)
+columns (8 n min(p, 2n) bytes of columns plus 8 min(p, 2n)^2 of Gram block).
+A solve whose unseen columns would pass that bound first restarts the cache
+from the cached columns of its own active set, which always fit since
+|A| <= min(n, p).
+
+``solve_direct(op, active, y)`` without a cache is the one-shot form of the
+same code: a fresh cache that sees only A.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-__all__ = ["SingularGramError", "RestrictedLsqSolution", "solve_direct", "solve_cg"]
+__all__ = ["SingularGramError", "RestrictedLsqSolution", "GramCache",
+           "solve_direct", "solve_cg"]
 
 # Pivot threshold below which the Gram factorization is declared singular.
 GRAM_PIVOT_TOL = 1e-12
@@ -35,43 +54,135 @@ class RestrictedLsqSolution:
     residual_norms: list | None = None  # CG normal-equation residual history
 
 
-def solve_direct(op, active, y):
-    """Solve Psi_A^t Psi_A x_A = Psi_A^t y by Cholesky on the explicit Gram matrix."""
-    active = _as_index_set(active, op.p)
-    y = np.asarray(y, dtype=float)
-    if active.size == 0:
-        return RestrictedLsqSolution(np.zeros(0), y.copy(), op.adjoint_apply(y), 0, "direct")
-    if active.size > op.n:
-        raise SingularGramError(active.size)
-    psi_a = op.columns(active)
-    gram = psi_a.T @ psi_a
-    try:
-        factor = cho_factor(gram, lower=True, check_finite=False)
-    except LinAlgError:
-        raise SingularGramError(active.size) from None
-    if float(np.min(np.diag(factor[0]))) ** 2 <= GRAM_PIVOT_TOL:
-        raise SingularGramError(active.size)
-    x_a = cho_solve(factor, psi_a.T @ y, check_finite=False)
-    residual = y - psi_a @ x_a
-    return RestrictedLsqSolution(x_a, residual, op.adjoint_apply(residual), 0, "direct")
+def finite_vector(name, v):
+    """``v`` as a float array, or a ValueError naming ``name`` if any entry is
+    NaN or infinite."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return v
 
 
-def solve_cg(op, active, y, warm_start=None, noise_level=0.0, max_iters=2, tol_factor=1e-5):
+class GramCache:
+    """Columns, Gram block and Psi^t y of one (operator, data) pair, reused
+    across the restricted solves of one solver run (see the module notes)."""
+
+    def __init__(self, op, y):
+        self.op = op
+        self.y = finite_vector("y", y)
+        if self.y.shape != (op.n,):
+            raise ValueError(f"expected y of shape ({op.n},), got {self.y.shape}")
+        self.limit = min(op.p, 2 * op.n)
+        self._aty = None
+        self._slot = np.full(op.p, -1, dtype=np.intp)  # column index -> slot, -1 if absent
+        # per slot: column index, column (as a row), Gram row, column against y;
+        # allocated on first use and grown by doubling up to ``limit``
+        self._index = self._cols = self._gram = self._cty = None
+        self._capacity = self.size = 0
+
+    @property
+    def aty(self):
+        """Psi^t y, computed on first use; callers must not modify it (solves share it)."""
+        if self._aty is None:
+            self._aty = self.op.adjoint_apply(self.y)
+        return self._aty
+
+    def _slots(self, active):
+        """Slots of the sorted index set ``active``, fetching unseen columns."""
+        slots = self._slot[active]
+        missing = active[slots < 0]
+        if missing.size:
+            if self.size + missing.size > self.limit:
+                self._restart(slots[slots >= 0])
+            self._add(missing)
+            slots = self._slot[active]
+        return slots
+
+    def _restart(self, keep):
+        """Keep only the slots ``keep``, compacted to the front, in their order."""
+        m = keep.size
+        index = self._index[keep]
+        self._slot[self._index[:self.size]] = -1
+        self._cols[:m] = self._cols[keep]
+        self._gram[:m, :m] = self._gram.take(keep, 0).take(keep, 1)
+        self._cty[:m] = self._cty[keep]
+        self._index[:m] = index
+        self._slot[index] = np.arange(m)
+        self.size = m
+
+    def _add(self, indices):
+        m, j = self.size, indices.size
+        if m + j > self._capacity:
+            self._grow(min(self.limit, max(m + j, 2 * self._capacity)))
+        new = self._cols[m:m + j]
+        new[...] = self.op.columns(indices).T
+        if m:
+            cross = self._cols[:m] @ new.T
+            self._gram[:m, m:m + j] = cross
+            self._gram[m:m + j, :m] = cross.T
+        self._gram[m:m + j, m:m + j] = new @ new.T
+        self._cty[m:m + j] = new @ self.y
+        self._index[m:m + j] = indices
+        self._slot[indices] = np.arange(m, m + j)
+        self.size = m + j
+
+    def _grow(self, cap):
+        m = self.size
+        cols, gram = np.empty((cap, self.op.n)), np.empty((cap, cap))
+        cty, index = np.empty(cap), np.empty(cap, dtype=np.intp)
+        if m:
+            cols[:m], gram[:m, :m] = self._cols[:m], self._gram[:m, :m]
+            cty[:m], index[:m] = self._cty[:m], self._index[:m]
+        self._cols, self._gram, self._cty, self._index = cols, gram, cty, index
+        self._capacity = cap
+
+    def _solve(self, active):
+        """Cholesky solve of Psi_A^t Psi_A x_A = Psi_A^t y on a sorted index set."""
+        if active.size == 0:
+            return RestrictedLsqSolution(np.zeros(0), self.y.copy(), self.aty.copy(), 0,
+                                         "direct")
+        if active.size > self.op.n:
+            raise SingularGramError(active.size)
+        slots = self._slots(active)
+        # the gathered block is symmetric, so its transpose is the same matrix
+        # in the column-major order LAPACK factors in place
+        factor, info = dpotrf(self._gram.take(slots, 0).take(slots, 1).T, lower=1, clean=0,
+                              overwrite_a=1)
+        if info != 0 or float(factor.diagonal().min()) ** 2 <= GRAM_PIVOT_TOL:
+            raise SingularGramError(active.size)
+        x_a, _ = dpotrs(factor, self._cty.take(slots), lower=1)
+        residual = self.y - x_a @ self._cols.take(slots, 0)
+        return RestrictedLsqSolution(x_a, residual, self.op.adjoint_apply(residual), 0,
+                                     "direct")
+
+
+def solve_direct(op, active, y, cache=None):
+    """Solve Psi_A^t Psi_A x_A = Psi_A^t y by Cholesky on the Gram matrix.
+
+    With a ``GramCache`` built for (op, y), columns and Gram entries seen by
+    earlier solves are reused; without one, the solve builds what it needs.
+    """
+    return _cache_for(op, y, cache)._solve(_as_index_set(active, op.p))
+
+
+def solve_cg(op, active, y, warm_start=None, noise_level=0.0, max_iters=2, tol_factor=1e-5,
+             cache=None):
     """Conjugate gradients on the normal equations over the active set.
 
     Starts from ``warm_start`` and stops when the normal-equation residual
     drops to ``tol_factor * noise_level`` or after ``max_iters`` iterations,
     whichever comes first. Bounded iterations are by design, so hitting the
-    cap is not an error.
+    cap is not an error. A ``cache`` supplies Psi^t y; CG fetches no columns.
     """
     active = _as_index_set(active, op.p)
-    y = np.asarray(y, dtype=float)
+    cache = _cache_for(op, y, cache)
+    y = cache.y
     if active.size == 0:
         raise ValueError("CG solve needs a nonempty active set")
     if warm_start is None:
         z = np.zeros(active.size)
     else:
-        z = np.asarray(warm_start, dtype=float).copy()
+        z = finite_vector("warm_start", warm_start).copy()
         if z.shape != (active.size,):
             raise ValueError(f"warm start shape {z.shape} does not match |A| = {active.size}")
 
@@ -80,7 +191,7 @@ def solve_cg(op, active, y, warm_start=None, noise_level=0.0, max_iters=2, tol_f
         full[active] = v
         return op.adjoint_apply(op.apply(full))[active]
 
-    b = op.adjoint_apply(y)[active]
+    b = cache.aty[active]
     tol = float(tol_factor) * float(noise_level)
     r = b - gram_apply(z)
     rr = float(r @ r)
@@ -107,11 +218,19 @@ def solve_cg(op, active, y, warm_start=None, noise_level=0.0, max_iters=2, tol_f
     return RestrictedLsqSolution(z, residual, op.adjoint_apply(residual), iters, "cg", norms)
 
 
+def _cache_for(op, y, cache):
+    if cache is None:
+        return GramCache(op, y)
+    if cache.op is not op or cache.y is not y:
+        raise ValueError("cache was built for another operator or data vector")
+    return cache
+
+
 def _as_index_set(active, p):
-    active = np.asarray(active, dtype=np.intp).ravel()
+    active = np.sort(np.asarray(active, dtype=np.intp).ravel())
     if active.size:
-        if active.min() < 0 or active.max() >= p:
+        if active[0] < 0 or active[-1] >= p:
             raise ValueError("active-set index out of range")
-        if np.unique(active).size != active.size:
+        if active.size > 1 and not (active[1:] > active[:-1]).all():
             raise ValueError("active set has repeated indices")
-    return np.sort(active)
+    return active

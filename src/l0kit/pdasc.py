@@ -10,11 +10,12 @@ first lambda whose residual reaches the discrepancy level.
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lsq import SingularGramError, solve_cg, solve_direct
+from .lsq import GramCache, SingularGramError, solve_cg, solve_direct
 
 __all__ = [
     "CONVERGED", "GRID_EXHAUSTED", "SINGULAR_GRAM_ABORT", "MAX_ITERS",
@@ -102,6 +103,18 @@ def continuation_grid(lam0, lam_min, N):
     return grid, ratio ** (1.0 / N)
 
 
+def check_count(name, value):
+    """Raise ValueError unless ``value`` is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_nonnegative(name, value):
+    """Raise ValueError unless ``value`` is a finite real >= 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     """Continuation-solver knobs.
@@ -123,17 +136,20 @@ class SolverConfig:
     cg_tol_factor: float = 1e-5
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.J_max < 1:
-            raise ValueError("J_max must be >= 1")
+        for name in ("N", "J_max", "cg_max_iters"):
+            check_count(name, getattr(self, name))
+        if self.eps_bar is not None:
+            check_nonnegative("eps_bar", self.eps_bar)
+        check_nonnegative("cg_tol_factor", self.cg_tol_factor)
         if self.lsq_mode not in ("direct", "cg"):
             raise ValueError(f"unknown lsq mode {self.lsq_mode!r}")
 
-    def resolve_grid(self, op, y):
+    def resolve_grid(self, op, y, aty=None):
+        """The lambda grid and its ratio; ``aty`` is Psi^t y when the caller has it."""
         lam0 = self.lam0
         if lam0 is None:
-            lam0 = 0.5 * float(np.max(np.abs(op.adjoint_apply(y)))) ** 2
+            aty = op.adjoint_apply(y) if aty is None else aty
+            lam0 = 0.5 * float(np.max(np.abs(aty))) ** 2
         if lam0 <= 0:
             raise ValueError("lam0 must be positive (is the data identically zero?)")
         lam_min = 1e-15 * lam0 if self.lam_min is None else self.lam_min
@@ -153,7 +169,7 @@ class SolverState:
 
     ``active`` is the thresholded carry-over set used to warm-start the next
     lambda; ``solved_set`` is the set of the last restricted solve, off which
-    x vanishes exactly.
+    x vanishes exactly; ``residual_norm`` is ||y - Psi x|| from that solve.
     """
 
     lam: float
@@ -162,6 +178,7 @@ class SolverState:
     active: np.ndarray
     solved_set: np.ndarray
     inner_iters: int
+    residual_norm: float
 
 
 @dataclass
@@ -171,7 +188,7 @@ class InnerResult:
     active_sets: list           # sets solved on, in order
 
 
-def pdas_inner(op, y, lam, x0, d0, A0, J_max, lsq=None):
+def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None):
     """Run the inner primal-dual active set loop at a fixed lambda.
 
     Starting from the set A0 (on which the first restricted solve happens),
@@ -181,13 +198,15 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, lsq=None):
     or after J_max solves; the carried active set is the final selection
     (recomputed from the last pair), falling back to the last solved set if
     the selection outgrows the row count.
+
+    ``cache`` is a GramCache for (op, y) shared by the solves of a whole path;
+    ``cg`` holds the ``solve_cg`` keyword settings (noise_level, max_iters,
+    tol_factor) when the nonempty sets are solved by CG instead of Cholesky.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if J_max < 1:
         raise ValueError("J_max must be >= 1")
-    if lsq is None:
-        lsq = lambda op_, a_, y_, warm: solve_direct(op_, a_, y_)
     thr = math.sqrt(2.0 * lam)
     current = np.sort(np.asarray(A0, dtype=np.intp))
     if current.size > op.n:
@@ -201,7 +220,10 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, lsq=None):
     carry = current
     for _ in range(J_max):
         try:
-            sol = lsq(op, current, y, x[current])
+            if cg is None or current.size == 0:
+                sol = solve_direct(op, current, y, cache)
+            else:
+                sol = solve_cg(op, current, y, warm_start=x[current], cache=cache, **cg)
         except SingularGramError as err:
             err.lam = lam
             err.active = current
@@ -211,7 +233,7 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, lsq=None):
         d = sol.dual
         sets.append(current)
         selected = np.flatnonzero(np.abs(x + d) > thr)
-        if selected.size == current.size and np.array_equal(selected, current):
+        if selected.size == current.size and (selected == current).all():
             status = FIXED_POINT
             carry = current
             break
@@ -220,9 +242,9 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, lsq=None):
             break
         carry = selected
         current = selected
-    solved = sets[-1]
-    state = SolverState(lam=lam, x=x, d=d, active=carry, solved_set=solved,
-                        inner_iters=len(sets))
+    state = SolverState(lam=lam, x=x, d=d, active=carry, solved_set=sets[-1],
+                        inner_iters=len(sets),
+                        residual_norm=float(np.linalg.norm(sol.residual)))
     return InnerResult(state=state, status=status, active_sets=sets)
 
 
@@ -235,6 +257,17 @@ class LambdaRecord:
     residual: float
     overlap_true: int | None = None
     excess_outside_true: int | None = None
+
+    @classmethod
+    def build(cls, k, lam, active, inner_iters, residual_norm, truth=None):
+        """The record of one step from the residual norm the solver already
+        has; with ``truth``, also the active set's overlap with its support."""
+        overlap = excess = None
+        if truth is not None:
+            overlap = int(np.count_nonzero(np.isin(active, truth.support)))
+            excess = int(active.size) - overlap
+        return cls(k=k, lam=lam, active_size=int(active.size), inner_iters=inner_iters,
+                   residual=residual_norm, overlap_true=overlap, excess_outside_true=excess)
 
 
 @dataclass
@@ -292,25 +325,28 @@ def pdasc(op, y, config, truth=None):
     singular Gram matrix the lambda step is abandoned and the previous state
     carried forward; three consecutive failures abort the run. When ``truth``
     is given, path records include the active set's overlap with the true
-    support.
+    support. One GramCache serves every restricted solve of the path.
     """
-    y = np.asarray(y, dtype=float)
     if config.eps_bar is None:
         raise ValueError("SolverConfig.eps_bar (discrepancy level) must be set")
-    true_support = None if truth is None else set(int(i) for i in truth.support)
-    if config.lam0 is None and float(np.max(np.abs(op.adjoint_apply(y)))) == 0.0:
+    cache = GramCache(op, y)
+    y = cache.y
+    res_norm = float(np.linalg.norm(y))   # at x = 0
+    empty = np.zeros(0, dtype=np.intp)
+    if config.lam0 is None and float(np.max(np.abs(cache.aty))) == 0.0:
         # data uncorrelated with every column: x = 0 is optimal at any lambda
-        x = np.zeros(op.p)
-        rec = _record(op, y, 1, 0.0, np.zeros(0, dtype=np.intp), 0, x, true_support)
+        rec = LambdaRecord.build(1, 0.0, empty, 0, res_norm, truth)
         status = CONVERGED if rec.residual <= config.eps_bar else GRID_EXHAUSTED
-        return SolveReport(x_final=x, support_final=np.zeros(0, dtype=np.intp),
+        return SolveReport(x_final=np.zeros(op.p), support_final=empty,
                            lam_final=0.0, records=[rec], status=status, solver="pdasc")
-    grid, _rho = config.resolve_grid(op, y)
-    lsq = _make_lsq(config)
+    grid, _rho = config.resolve_grid(op, y, cache.aty)
+    cg = None if config.lsq_mode == "direct" else {
+        "noise_level": config.eps_bar, "max_iters": config.cg_max_iters,
+        "tol_factor": config.cg_tol_factor}
 
     x = np.zeros(op.p)
-    d = op.adjoint_apply(y)
-    active = np.zeros(0, dtype=np.intp)
+    d = cache.aty
+    active = empty
     records = []
     status = GRID_EXHAUSTED
     lam_final = None
@@ -319,47 +355,20 @@ def pdasc(op, y, config, truth=None):
         lam_k = float(grid[k])
         lam_final = lam_k
         try:
-            result = pdas_inner(op, y, lam_k, x, d, active, config.J_max, lsq)
+            result = pdas_inner(op, y, lam_k, x, d, active, config.J_max, cache, cg)
         except SingularGramError:
             failures += 1
-            records.append(_record(op, y, k, lam_k, active, 0, x, true_support))
+            records.append(LambdaRecord.build(k, lam_k, active, 0, res_norm, truth))
             if failures >= SINGULAR_SKIP_LIMIT:
                 status = SINGULAR_GRAM_ABORT
                 break
             continue
         failures = 0
         state = result.state
-        x, d, active = state.x, state.d, state.active
-        rec = _record(op, y, k, lam_k, active, state.inner_iters, x, true_support)
-        records.append(rec)
-        if rec.residual <= config.eps_bar:
+        x, d, active, res_norm = state.x, state.d, state.active, state.residual_norm
+        records.append(LambdaRecord.build(k, lam_k, active, state.inner_iters, res_norm, truth))
+        if res_norm <= config.eps_bar:
             status = CONVERGED
             break
     return SolveReport(x_final=x, support_final=np.flatnonzero(x), lam_final=lam_final,
                        records=records, status=status, solver="pdasc")
-
-
-def _record(op, y, k, lam, active, inner_iters, x, true_support):
-    residual = float(np.linalg.norm(y - op.apply(x)))
-    overlap = excess = None
-    if true_support is not None:
-        inside = sum(1 for i in active if int(i) in true_support)
-        overlap = inside
-        excess = int(active.size) - inside
-    return LambdaRecord(k=k, lam=lam, active_size=int(active.size),
-                        inner_iters=inner_iters, residual=residual,
-                        overlap_true=overlap, excess_outside_true=excess)
-
-
-def _make_lsq(config):
-    if config.lsq_mode == "direct":
-        return lambda op, a, y, warm: solve_direct(op, a, y)
-    eps = config.eps_bar
-
-    def cg_solver(op, a, y, warm):
-        if len(a) == 0:
-            return solve_direct(op, a, y)  # no system to iterate on
-        return solve_cg(op, a, y, warm_start=warm, noise_level=eps,
-                        max_iters=config.cg_max_iters, tol_factor=config.cg_tol_factor)
-
-    return cg_solver

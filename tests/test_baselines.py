@@ -3,7 +3,7 @@ import pytest
 
 from l0kit import (GreedyConfig, SolverConfig, cosamp, gen_gaussian_operator,
                    gen_sparse_signal, htp, iht, keep_largest, mutual_coherence, omp,
-                   pdasc, synthesize_instance)
+                   pdasc, solve_cg, solve_direct, synthesize_instance)
 from conftest import orthonormal_operator, randomized_union_operator
 
 
@@ -150,3 +150,57 @@ def test_solve_reports_share_shape():
             "overlap_true", "excess_outside_true"} <= set(doc["records"][0])
     csv_text = report.records_csv()
     assert csv_text.startswith("k,lambda,active_size,inner_iters,residual")
+
+
+_SOLVER_ENTRIES = {
+    "pdasc": lambda op, y: pdasc(op, y, SolverConfig(eps_bar=1e-3)),
+    "omp": lambda op, y: omp(op, y, GreedyConfig(T=3)),
+    "htp": lambda op, y: htp(op, y, GreedyConfig(T=3)),
+    "cosamp": lambda op, y: cosamp(op, y, GreedyConfig(T=3)),
+    "iht": lambda op, y: iht(op, y, GreedyConfig(T=3)),
+    "solve_direct": lambda op, y: solve_direct(op, [0, 1], y),
+    "solve_cg": lambda op, y: solve_cg(op, [0, 1], y),
+}
+
+
+@pytest.mark.parametrize("bad", ["all_nan", "one_inf"])
+@pytest.mark.parametrize("solver", list(_SOLVER_ENTRIES))
+def test_solvers_reject_non_finite_data(solver, bad):
+    op = gen_gaussian_operator(50, 100, seed=3)
+    y = np.random.default_rng(4).standard_normal(50)
+    if bad == "all_nan":
+        y[:] = np.nan
+    else:
+        y[7] = np.inf
+    with pytest.raises(ValueError, match="y contains non-finite"):
+        _SOLVER_ENTRIES[solver](op, y)
+
+
+def test_warm_starts_reject_non_finite_values():
+    op = gen_gaussian_operator(20, 40, seed=5)
+    y = np.random.default_rng(6).standard_normal(20)
+    x0 = np.zeros(40)
+    x0[3] = np.nan
+    for method in (htp, iht):
+        with pytest.raises(ValueError, match="x0"):
+            method(op, y, GreedyConfig(T=2), x0=x0)
+    with pytest.raises(ValueError, match="warm_start"):
+        solve_cg(op, [0, 1], y, warm_start=[0.0, np.inf])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("N", 2.5), ("J_max", 2.5), ("cg_max_iters", 0), ("eps_bar", -1.0),
+    ("eps_bar", float("nan")), ("cg_tol_factor", float("inf")),
+])
+def test_solver_config_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{"eps_bar": 1.0, field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("T", 2.5), ("max_iters", 1.5), ("tol", -1.0), ("tol", float("nan")),
+    ("step_size", 0.0), ("step_size", float("inf")),
+])
+def test_greedy_config_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        GreedyConfig(**{"T": 2, field: value})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from l0kit import (DenseOperator, SingularGramError, gen_gaussian_operator,
+from l0kit import (DenseOperator, GramCache, SingularGramError, gen_gaussian_operator,
                    gen_partial_dct_operator, gen_sparse_signal, solve_cg,
                    solve_direct, synthesize_instance)
 from conftest import example1_pair
@@ -129,3 +129,34 @@ def test_cg_rejects_bad_inputs():
         solve_cg(op, [], np.ones(10))
     with pytest.raises(ValueError):
         solve_cg(op, [1, 2], np.ones(10), warm_start=np.ones(3))
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def test_cache_matches_fresh_solves():
+    # grow, shrink, repeat, an entirely new set, then sets that push the cache
+    # past its min(p, 2n) = 20 column bound and make it restart
+    op = gen_gaussian_operator(10, 40, seed=21)
+    y = np.random.default_rng(22).standard_normal(10)
+    cache = GramCache(op, y)
+    sets = [[1, 2, 3], [1, 2, 3, 4, 5], [2, 4], [1, 2, 3], list(range(10, 20)),
+            list(range(20, 30)), [0, 5, 20, 39], [], [2, 4]]
+    for active in sets:
+        cached = solve_direct(op, active, y, cache)
+        fresh = solve_direct(op, active, y)
+        assert cache.size <= cache.limit == 20
+        if active:
+            assert _rel(cached.x_active, fresh.x_active) <= 1e-12
+        assert _rel(cached.residual, fresh.residual) <= 1e-12
+        assert _rel(cached.dual, fresh.dual) <= 1e-12
+
+
+def test_cache_rejects_other_data():
+    op = gen_gaussian_operator(6, 12, seed=23)
+    cache = GramCache(op, np.ones(6))
+    with pytest.raises(ValueError, match="cache"):
+        solve_direct(op, [0], np.ones(6), cache)
+    with pytest.raises(ValueError, match="cache"):
+        solve_cg(gen_gaussian_operator(6, 12, seed=24), [0], cache.y, cache=cache)

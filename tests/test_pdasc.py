@@ -331,3 +331,47 @@ def test_pdasc_report_serialization(tmp_path):
     report.save_csv(tmp_path / "report.csv")
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "report.csv").exists()
+
+
+class CountingOperator(DenseOperator):
+    """A dense operator that records every column index it materializes."""
+
+    def __init__(self, base):
+        super().__init__(base.mat, columns_normalized=True)
+        self.fetched = []
+
+    def columns(self, indices):
+        self.fetched.extend(np.asarray(indices).tolist())
+        return super().columns(indices)
+
+
+def test_pdasc_materializes_each_column_once_per_path():
+    base = gen_gaussian_operator(100, 200, seed=63)
+    truth = gen_sparse_signal(200, 30, 10.0, seed=64)
+    inst = synthesize_instance(base, truth, 1e-2, seed=65)
+    op = CountingOperator(base)
+    report = pdasc(op, inst.y, SolverConfig(N=100, J_max=5, eps_bar=inst.noise_level))
+    assert report.status == CONVERGED
+    assert len(op.fetched) == len(set(op.fetched)) >= 30
+
+
+def test_pdasc_past_the_cache_bound_matches_uncached_replay():
+    # same shape and settings as the grid_exhausted case above, on data whose
+    # path visits more distinct columns than the cache holds (min(p, 2n) = 16)
+    base = gen_gaussian_operator(8, 32, seed=15)
+    y = np.random.default_rng(15).standard_normal(8)
+    op = CountingOperator(base)
+    cfg = SolverConfig(N=80, J_max=4, eps_bar=1e-16)
+    report = pdasc(op, y, cfg)
+    assert report.status == GRID_EXHAUSTED
+    assert len(set(op.fetched)) > 16
+
+    grid, _ = cfg.resolve_grid(base, y)
+    x, d, active = np.zeros(32), base.adjoint_apply(y), np.zeros(0, dtype=np.intp)
+    for rec in report.records:
+        assert rec.inner_iters > 0   # no singular skips to replay
+        res = pdas_inner(base, y, float(grid[rec.k]), x, d, active, cfg.J_max)
+        x, d, active = res.state.x, res.state.d, res.state.active
+        assert (rec.active_size, rec.inner_iters) == (active.size, res.state.inner_iters)
+        assert rec.residual == pytest.approx(res.state.residual_norm, rel=1e-12)
+    assert np.max(np.abs(report.x_final - x)) <= 1e-12 * np.max(np.abs(x))
