@@ -123,20 +123,21 @@ def iht(op, y, config, truth=None, x0=None):
     limit = 100 if config.max_iters is None else config.max_iters
     records = []
     status = MAX_ITERS
-    res_norm = float(np.linalg.norm(y - op.apply(x)))
+    r = y - op.apply(x)   # carried: each iterate is applied once
+    res_norm = float(np.linalg.norm(r))
     for it in range(1, limit + 1):
-        g = op.dual(y, x)
+        g = op.adjoint_apply(r)
         if config.step_policy == "fixed":
             proposal = keep_largest(x + config.step_size * g, config.T)
+            r = y - op.apply(proposal)
         else:
-            proposal, accepted = _adaptive_step(op, y, x, g, config.T, res_norm)
-            if not accepted:
+            proposal, r = _adaptive_step(op, y, x, g, config.T, res_norm)
+            if r is None:
                 status = CONVERGED  # no step of any size improves the residual
                 break
-        new_norm = float(np.linalg.norm(y - op.apply(proposal)))
         moved = not np.array_equal(proposal, x)
         x = proposal
-        res_norm = new_norm
+        res_norm = float(np.linalg.norm(r))
         records.append(_record(it, x, res_norm, truth))
         if res_norm <= config.tol or not moved:
             status = CONVERGED
@@ -145,6 +146,7 @@ def iht(op, y, config, truth=None, x0=None):
 
 
 def _adaptive_step(op, y, x, g, T, res_norm):
+    """The accepted proposal and its residual y - Psi proposal, or (x, None)."""
     support = np.flatnonzero(x)
     if support.size == 0:
         support = _top_indices(g, T)
@@ -154,10 +156,11 @@ def _adaptive_step(op, y, x, g, T, res_norm):
     mu = float(g_s @ g_s) / denom if denom > 0 else 1.0
     for _ in range(40):
         proposal = keep_largest(x + mu * g, T)
-        if float(np.linalg.norm(y - op.apply(proposal))) <= res_norm:
-            return proposal, True
+        r = y - op.apply(proposal)
+        if float(np.linalg.norm(r)) <= res_norm:
+            return proposal, r
         mu *= 0.5
-    return x, False
+    return x, None
 
 
 def cosamp(op, y, config, truth=None):

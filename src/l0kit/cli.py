@@ -43,7 +43,6 @@ def build_parser():
     solve.set_defaults(func=cmd_solve)
 
     sweep = _add_command(sub, "sweep", "recovery-probability sweep over (T, solver, trial)")
-    sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--rows", help="also write the per-trial rows to this path")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -114,7 +113,7 @@ def cmd_solve(args):
 
 def cmd_sweep(args):
     config = _load_config(args)
-    result = run_sweep(config, workers=args.workers)
+    result = run_sweep(config)
     if args.rows:
         with open(args.rows, "w") as fh:
             fh.write(rows_csv(result["rows"]))

@@ -5,7 +5,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,24 +207,12 @@ def _run_trial(config, T, trial, runner, clock):
                      psnr_db=psnr(x_hat, x_true), status=report.status)
 
 
-def run_sweep(config, clock=time.perf_counter, workers=1):
+def run_sweep(config, clock=time.perf_counter):
     """Run every (T, solver, trial) cell of the config; returns per-trial rows
     and per-cell aggregates (recovery probability and error medians)."""
     runners = [_solver_runner(s) for s in config.solvers]
-    jobs = [(T, runner, trial)
+    rows = [_run_trial(config, T, trial, runner, clock)
             for T in config.t_values() for runner in runners for trial in range(config.trials)]
-    rows = [None] * len(jobs)
-
-    def work(i):
-        T, runner, trial = jobs[i]
-        rows[i] = _run_trial(config, T, trial, runner, clock)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(len(jobs))))
-    else:
-        for i in range(len(jobs)):
-            work(i)
 
     aggregates = []
     idx = 0
@@ -259,7 +246,7 @@ def run_trace(config, solver_index=0):
 
 def run_bench(config, clock=time.perf_counter):
     """Median wall time and errors per solver, mirroring the sweep aggregates."""
-    result = run_sweep(config, clock=clock, workers=1)
+    result = run_sweep(config, clock=clock)
     n, p = config.matrix["n"], config.matrix["p"]
     table = [{
         "solver": agg["solver"], "p": p, "n": n, "T": agg["T"], "R": agg["R"],

@@ -16,6 +16,14 @@ from the cached columns of its own active set, which always fit since
 
 ``solve_direct(op, active, y)`` without a cache is the one-shot form of the
 same code: a fresh cache that sees only A.
+
+``solve_cg`` is matrix-free and carries the full iterate (x, r = y - Psi x,
+d = Psi^t r), updating r and d by recurrence along each CG direction, so
+one CG iteration costs one apply and one adjoint and the dual the active-set
+update needs comes out of the solve with no further pass. A start whose x has
+entries off the active set first drops them with one apply/adjoint pair. The
+continuation driver recomputes r and d afresh once at the end of every lambda
+step, which bounds the recurrence drift to the J_max solves of one step.
 """
 
 from dataclasses import dataclass
@@ -166,56 +174,77 @@ def solve_direct(op, active, y, cache=None):
 
 
 def solve_cg(op, active, y, warm_start=None, noise_level=0.0, max_iters=2, tol_factor=1e-5,
-             cache=None):
+             cache=None, start=None):
     """Conjugate gradients on the normal equations over the active set.
 
-    Starts from ``warm_start`` and stops when the normal-equation residual
-    drops to ``tol_factor * noise_level`` or after ``max_iters`` iterations,
-    whichever comes first. Bounded iterations are by design, so hitting the
-    cap is not an error. A ``cache`` supplies Psi^t y; CG fetches no columns.
+    Starts from ``warm_start`` (values on A; zero when omitted) or from a full
+    iterate ``start = (x, r, d)`` with r = y - Psi x and d = Psi^t r, and stops
+    when the normal-equation residual drops to ``tol_factor * noise_level`` or
+    after ``max_iters`` iterations, whichever comes first. Bounded iterations
+    are by design, so hitting the cap is not an error.
+
+    The returned residual and dual are carried by recurrence, not recomputed:
+    each direction p costs one apply u = Psi p and one adjoint g = Psi^t u,
+    and the step alpha updates r -= alpha u and d -= alpha g along with z, so
+    d[A] is the CG gradient. Without ``start`` the solve first builds it from
+    the warm start with one apply and one adjoint. When x has entries off A,
+    the solve first drops them: u0 = Psi x_off is added to r and Psi^t u0 to
+    d (one more apply/adjoint pair). CG fetches no columns; a ``cache`` only
+    has to match (op, y).
     """
     active = _as_index_set(active, op.p)
     cache = _cache_for(op, y, cache)
     y = cache.y
     if active.size == 0:
         raise ValueError("CG solve needs a nonempty active set")
-    if warm_start is None:
-        z = np.zeros(active.size)
-    else:
-        z = finite_vector("warm_start", warm_start).copy()
-        if z.shape != (active.size,):
-            raise ValueError(f"warm start shape {z.shape} does not match |A| = {active.size}")
+    if start is None:
+        x = np.zeros(op.p)
+        if warm_start is not None:
+            w = finite_vector("warm_start", warm_start)
+            if w.shape != (active.size,):
+                raise ValueError(f"warm start shape {w.shape} does not match |A| = {active.size}")
+            x[active] = w
+        r = y - op.apply(x)
+        start = (x, r, op.adjoint_apply(r))
+    elif warm_start is not None:
+        raise ValueError("give warm_start or start, not both")
+    x, r, d = start
+    if x.shape != (op.p,) or r.shape != (op.n,) or d.shape != (op.p,):
+        raise ValueError("start must be (x, r, d) of shapes (p,), (n,), (p,)")
+    z = x[active]
+    r, d = r.copy(), d.copy()
+    off = x.copy()
+    off[active] = 0.0
+    if off.any():  # the restricted problem starts at x with its entries off A dropped
+        u = op.apply(off)
+        r += u
+        d += op.adjoint_apply(u)
 
-    def gram_apply(v):
-        full = np.zeros(op.p)
-        full[active] = v
-        return op.adjoint_apply(op.apply(full))[active]
-
-    b = cache.aty[active]
     tol = float(tol_factor) * float(noise_level)
-    r = b - gram_apply(z)
-    rr = float(r @ r)
+    grad = d[active]
+    rr = float(grad @ grad)
     norms = [np.sqrt(rr)]
-    p_dir = r.copy()
+    p_dir = grad
     iters = 0
     while norms[-1] > tol and iters < max_iters:
-        gp = gram_apply(p_dir)
-        denom = float(p_dir @ gp)
+        full = np.zeros(op.p)
+        full[active] = p_dir
+        u = op.apply(full)
+        g = op.adjoint_apply(u)
+        denom = float(p_dir @ g[active])
         if denom <= 0.0:
             break  # numerically semidefinite direction; stop where we are
         alpha = rr / denom
         z += alpha * p_dir
-        r -= alpha * gp
-        rr_new = float(r @ r)
+        r -= alpha * u
+        d -= alpha * g
+        grad = d[active]
+        rr_new = float(grad @ grad)
         norms.append(np.sqrt(rr_new))
-        p_dir = r + (rr_new / rr) * p_dir
+        p_dir = grad + (rr_new / rr) * p_dir
         rr = rr_new
         iters += 1
-
-    full = np.zeros(op.p)
-    full[active] = z
-    residual = y - op.apply(full)
-    return RestrictedLsqSolution(z, residual, op.adjoint_apply(residual), iters, "cg", norms)
+    return RestrictedLsqSolution(z, r, d, iters, "cg", norms)
 
 
 def _cache_for(op, y, cache):

@@ -130,15 +130,16 @@ class PartialDctOperator(SensingOperator):
         self._col_scale = 1.0 / col_norms
 
     def _selected_row_norms(self):
-        # norm of column j over the selected rows, accumulated in row blocks
-        sq = np.zeros(self.p)
-        block = 128
-        for start in range(0, self.n, block):
-            sel = self.rows[start:start + block]
-            basis = np.zeros((self.p, sel.size))
-            basis[sel, np.arange(sel.size)] = 1.0
-            rows_of_c = idct(basis, axis=0, norm="ortho")
-            sq += np.sum(rows_of_c**2, axis=1)
+        # column j of the DCT-II matrix over the rows k has squared norm
+        # sum_k c_k^2 cos^2(pi k (2j+1) / 2p) = (sum_k c_k^2 + Re F(c^2)[2j+1]) / 2,
+        # with c_0^2 = 1/p, c_k^2 = 2/p and F the length-2p DFT of c^2 zero-padded
+        w = np.zeros(2 * self.p)
+        w[self.rows] = 2.0 / self.p
+        w[0] /= 2.0
+        sq = 0.5 * w.sum() + 0.5 * np.fft.fft(w).real[1::2]
+        # the transform leaves rounding of about eps * sum(w) in a column that is
+        # exactly zero; clear it so the zero-column check below sees the column
+        sq[sq <= 1e-13 * w.sum()] = 0.0
         return np.sqrt(sq)
 
     def apply(self, x):

@@ -169,7 +169,7 @@ class SolverState:
 
     ``active`` is the thresholded carry-over set used to warm-start the next
     lambda; ``solved_set`` is the set of the last restricted solve, off which
-    x vanishes exactly; ``residual_norm`` is ||y - Psi x|| from that solve.
+    x vanishes exactly; ``residual`` is y - Psi x and d = Psi^t residual.
     """
 
     lam: float
@@ -178,7 +178,11 @@ class SolverState:
     active: np.ndarray
     solved_set: np.ndarray
     inner_iters: int
-    residual_norm: float
+    residual: np.ndarray
+
+    @property
+    def residual_norm(self):
+        return float(np.linalg.norm(self.residual))
 
 
 @dataclass
@@ -188,7 +192,7 @@ class InnerResult:
     active_sets: list           # sets solved on, in order
 
 
-def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None):
+def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None):
     """Run the inner primal-dual active set loop at a fixed lambda.
 
     Starting from the set A0 (on which the first restricted solve happens),
@@ -202,6 +206,11 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None):
     ``cache`` is a GramCache for (op, y) shared by the solves of a whole path;
     ``cg`` holds the ``solve_cg`` keyword settings (noise_level, max_iters,
     tol_factor) when the nonempty sets are solved by CG instead of Cholesky.
+    CG starts from the full iterate (x0, r0 = y - Psi x0, d0 = Psi^t r0) and
+    carries the residual and dual by recurrence from solve to solve; without
+    ``r0`` the first CG solve starts from a freshly computed pair. A step whose
+    last solve was CG ends by recomputing r and d from x once, so the state
+    (and the next step's start) is exact.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -215,6 +224,9 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None):
     d = np.asarray(d0, dtype=float)
     if x.shape != (op.p,) or d.shape != (op.p,):
         raise ValueError("x0 and d0 must be length-p vectors")
+    r = None if r0 is None else np.asarray(r0, dtype=float)
+    if r is not None and r.shape != (op.n,):
+        raise ValueError("r0 must be a length-n vector")
     sets = []
     status = CAP_HIT
     carry = current
@@ -223,14 +235,17 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None):
             if cg is None or current.size == 0:
                 sol = solve_direct(op, current, y, cache)
             else:
-                sol = solve_cg(op, current, y, warm_start=x[current], cache=cache, **cg)
+                if r is None:
+                    r = y - op.apply(x)
+                    d = op.adjoint_apply(r)
+                sol = solve_cg(op, current, y, cache=cache, start=(x, r, d), **cg)
         except SingularGramError as err:
             err.lam = lam
             err.active = current
             raise
         x = np.zeros(op.p)
         x[current] = sol.x_active
-        d = sol.dual
+        r, d = sol.residual, sol.dual
         sets.append(current)
         selected = np.flatnonzero(np.abs(x + d) > thr)
         if selected.size == current.size and (selected == current).all():
@@ -242,9 +257,11 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None):
             break
         carry = selected
         current = selected
+    if sol.method == "cg":  # replace the recurrence pair by an exact one
+        r = y - op.apply(x)
+        d = op.adjoint_apply(r)
     state = SolverState(lam=lam, x=x, d=d, active=carry, solved_set=sets[-1],
-                        inner_iters=len(sets),
-                        residual_norm=float(np.linalg.norm(sol.residual)))
+                        inner_iters=len(sets), residual=r)
     return InnerResult(state=state, status=status, active_sets=sets)
 
 
@@ -344,8 +361,7 @@ def pdasc(op, y, config, truth=None):
         "noise_level": config.eps_bar, "max_iters": config.cg_max_iters,
         "tol_factor": config.cg_tol_factor}
 
-    x = np.zeros(op.p)
-    d = cache.aty
+    x, r, d = np.zeros(op.p), y, cache.aty
     active = empty
     records = []
     status = GRID_EXHAUSTED
@@ -355,7 +371,7 @@ def pdasc(op, y, config, truth=None):
         lam_k = float(grid[k])
         lam_final = lam_k
         try:
-            result = pdas_inner(op, y, lam_k, x, d, active, config.J_max, cache, cg)
+            result = pdas_inner(op, y, lam_k, x, d, active, config.J_max, cache, cg, r)
         except SingularGramError:
             failures += 1
             records.append(LambdaRecord.build(k, lam_k, active, 0, res_norm, truth))
@@ -365,7 +381,8 @@ def pdasc(op, y, config, truth=None):
             continue
         failures = 0
         state = result.state
-        x, d, active, res_norm = state.x, state.d, state.active, state.residual_norm
+        x, r, d, active = state.x, state.residual, state.d, state.active
+        res_norm = state.residual_norm
         records.append(LambdaRecord.build(k, lam_k, active, state.inner_iters, res_norm, truth))
         if res_norm <= config.eps_bar:
             status = CONVERGED

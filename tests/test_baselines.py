@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from l0kit import (GreedyConfig, SolverConfig, cosamp, gen_gaussian_operator,
+import l0kit.baselines as baselines_module
+from l0kit import (DenseOperator, GreedyConfig, SolverConfig, cosamp, gen_gaussian_operator,
                    gen_sparse_signal, htp, iht, keep_largest, mutual_coherence, omp,
                    pdasc, solve_cg, solve_direct, synthesize_instance)
 from conftest import orthonormal_operator, randomized_union_operator
@@ -105,6 +106,53 @@ def test_adaptive_iht_residual_never_increases():
         report = iht(op, inst.y, GreedyConfig(T=5, step_policy="adaptive", max_iters=40))
         res = [r.residual for r in report.records]
         assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
+
+
+class ApplyCountingOperator(DenseOperator):
+    """A dense operator that counts its applies."""
+
+    def __init__(self, base):
+        super().__init__(base.mat, columns_normalized=True)
+        self.applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
+
+
+def _iht_instance():
+    base = gen_gaussian_operator(200, 400, seed=70)
+    truth = gen_sparse_signal(400, 40, 10.0, seed=71)
+    return base, synthesize_instance(base, truth, 1e-2, seed=72)
+
+
+def test_fixed_iht_applies_each_iterate_once():
+    base, inst = _iht_instance()
+    op = ApplyCountingOperator(base)
+    report = iht(op, inst.y, GreedyConfig(T=40))
+    assert len(report.records) == 100
+    assert op.applies <= len(report.records) + 1
+
+
+def test_adaptive_iht_applies_only_in_the_step_search(monkeypatch):
+    # the residual of the accepted proposal is carried, so outside the step
+    # search only the starting point is applied (before: two more per iteration)
+    base, inst = _iht_instance()
+    op = ApplyCountingOperator(base)
+    in_step = [0]
+    step = baselines_module._adaptive_step
+
+    def counted_step(*args):
+        before = op.applies
+        try:
+            return step(*args)
+        finally:
+            in_step[0] += op.applies - before
+
+    monkeypatch.setattr(baselines_module, "_adaptive_step", counted_step)
+    report = iht(op, inst.y, GreedyConfig(T=40, step_policy="adaptive"))
+    assert len(report.records) > 10
+    assert op.applies - in_step[0] == 1
 
 
 def test_every_baseline_respects_sparsity_budget():

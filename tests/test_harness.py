@@ -127,14 +127,6 @@ def test_sweep_deterministic_with_injected_clock():
     assert a == b
 
 
-def test_sweep_worker_pool_output_identical():
-    config = small_config(trials=4)
-    seq = run_sweep(config, clock=lambda: 0.0)
-    par = run_sweep(config, clock=lambda: 0.0, workers=4)
-    assert rows_csv(seq["rows"]) == rows_csv(par["rows"])
-    assert sweep_table_csv(seq["aggregates"]) == sweep_table_csv(par["aggregates"])
-
-
 def test_sweep_survives_per_trial_solver_errors():
     # T above the OMP row budget fails inside the trial, recorded not raised
     config = ExperimentConfig.from_json({

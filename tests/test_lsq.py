@@ -95,13 +95,39 @@ def test_cg_matches_direct_on_dense_gaussian():
 
 
 def test_cg_residual_is_recomputed_consistently():
-    op = gen_gaussian_operator(40, 80, seed=14)
-    y = np.random.default_rng(15).standard_normal(40)
-    active = np.arange(8)
-    sol = solve_cg(op, active, y, noise_level=1.0, max_iters=2)
-    x = np.zeros(op.p)
-    x[active] = sol.x_active
-    assert np.max(np.abs(sol.residual - (y - op.apply(x)))) <= 1e-12
+    # residual and dual are carried by recurrence; after the two default
+    # iterations they match a fresh y - Psi x and Psi^t (y - Psi x)
+    rng = np.random.default_rng(15)
+    for op in (gen_gaussian_operator(40, 80, seed=14), gen_partial_dct_operator(64, 256, seed=14)):
+        y = rng.standard_normal(op.n)
+        active = np.sort(rng.choice(op.p, size=8, replace=False))
+        for warm in (None, rng.standard_normal(8)):
+            sol = solve_cg(op, active, y, warm_start=warm, noise_level=1.0, max_iters=2)
+            assert sol.iterations == 2
+            x = np.zeros(op.p)
+            x[active] = sol.x_active
+            fresh = y - op.apply(x)
+            assert np.max(np.abs(sol.residual - fresh)) <= 1e-12
+            assert np.max(np.abs(sol.dual - op.adjoint_apply(fresh))) <= 1e-12
+
+
+def test_cg_start_with_entries_off_the_set_matches_fresh_start():
+    op = gen_partial_dct_operator(64, 256, seed=16)
+    rng = np.random.default_rng(17)
+    y = rng.standard_normal(64)
+    x = np.zeros(256)
+    x[[3, 40, 41, 90, 200]] = rng.standard_normal(5)
+    r = y - op.apply(x)
+    start = (x, r, op.adjoint_apply(r))
+    active = np.array([3, 41, 90, 120])   # drops 40 and 200, adds 120
+    carried = solve_cg(op, active, y, start=start, max_iters=2)
+    fresh = solve_cg(op, active, y, warm_start=x[active], max_iters=2)
+    for a, b in ((carried.x_active, fresh.x_active), (carried.residual, fresh.residual),
+                 (carried.dual, fresh.dual)):
+        assert _rel(a, b) <= 1e-12
+    assert np.array_equal(start[1], r)   # the carried pair is not modified
+    with pytest.raises(ValueError, match="not both"):
+        solve_cg(op, active, y, warm_start=x[active], start=start)
 
 
 def test_cg_normal_equation_residual_monotone():

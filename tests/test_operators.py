@@ -1,9 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
-from l0kit import (DenseOperator, gen_bernoulli_operator, gen_gaussian_operator,
-                   gen_partial_dct_operator, load_operator_binary, load_operator_csv,
-                   mutual_coherence, save_operator_binary, save_operator_csv)
+from scipy.fft import idct
+
+from l0kit import (DenseOperator, PartialDctOperator, gen_bernoulli_operator,
+                   gen_gaussian_operator, gen_partial_dct_operator, load_operator_binary,
+                   load_operator_csv, mutual_coherence, save_operator_binary,
+                   save_operator_csv)
 
 ALL_GENERATORS = [gen_gaussian_operator, gen_bernoulli_operator, gen_partial_dct_operator]
 
@@ -77,6 +82,48 @@ def test_partial_dct_matches_materialized_columns():
     assert np.max(np.abs(op.apply(x) - mat @ x)) <= 1e-12
     assert np.max(np.abs(op.adjoint_apply(r) - mat.T @ r)) <= 1e-12
     assert np.all(np.abs(np.linalg.norm(mat, axis=0) - 1.0) <= 1e-12)
+
+
+def _blocked_idct_row_norms(p, rows):
+    # column norms over the selected rows of the DCT-II matrix, from inverse
+    # transforms of the selected basis vectors, 128 rows at a time
+    sq = np.zeros(p)
+    for start in range(0, rows.size, 128):
+        sel = rows[start:start + 128]
+        basis = np.zeros((p, sel.size))
+        basis[sel, np.arange(sel.size)] = 1.0
+        sq += np.sum(idct(basis, axis=0, norm="ortho") ** 2, axis=1)
+    return np.sqrt(sq)
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (3, 8), (16, 17), (100, 1000), (500, 1000),
+                                 (700, 2048), (2000, 8000)])
+@pytest.mark.parametrize("with_row_0", [True, False])
+def test_partial_dct_closed_form_norms_match_inverse_transforms(n, p, with_row_0):
+    rng = np.random.default_rng(n * p)
+    rows = rng.choice(np.arange(1, p), size=n, replace=False)
+    if with_row_0:
+        rows[0] = 0
+    op = PartialDctOperator(p, rows)
+    ref = _blocked_idct_row_norms(p, np.sort(rows))
+    assert np.max(np.abs(1.0 / op._col_scale - ref) / ref) <= 1e-12
+
+
+def test_partial_dct_zero_column_rejected():
+    # rows 55 k for odd k all vanish on column 45 of the 5005-point transform
+    # (55 * 91 = 5005); the closed form must not leave rounding there
+    rows = [55 * k for k in range(1, 91, 2)]
+    with pytest.raises(ValueError, match="zero column"):
+        PartialDctOperator(5005, rows)
+    with pytest.raises(ValueError, match="zero column"):
+        PartialDctOperator(3, [1])
+
+
+def test_partial_dct_setup_is_fast_at_scale():
+    rows = np.random.default_rng(0).choice(2**15, size=2**13, replace=False)
+    t0 = time.perf_counter()
+    PartialDctOperator(2**15, rows)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_partial_dct_paper_scale_shape():

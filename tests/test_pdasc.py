@@ -1,8 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from l0kit import (CAP_HIT, CONVERGED, FIXED_POINT, GRID_EXHAUSTED, SINGULAR_GRAM_ABORT,
-                   DenseOperator, SolverConfig, bruteforce_l0_min,
+                   DenseOperator, PartialDctOperator, SolverConfig, bruteforce_l0_min,
                    check_coordinatewise_min, continuation_grid, gen_gaussian_operator,
                    gen_partial_dct_operator, gen_sparse_signal, hard_threshold,
                    objective, oracle_solution, pdas_inner, pdasc, synthesize_instance)
@@ -375,3 +377,118 @@ def test_pdasc_past_the_cache_bound_matches_uncached_replay():
         assert (rec.active_size, rec.inner_iters) == (active.size, res.state.inner_iters)
         assert rec.residual == pytest.approx(res.state.residual_norm, rel=1e-12)
     assert np.max(np.abs(report.x_final - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+# ------------------------------------------------------- CG by recurrence
+
+pdasc_module = importlib.import_module("l0kit.pdasc")
+
+
+class CountingDctOperator(PartialDctOperator):
+    """A partial DCT that counts its applies and adjoints."""
+
+    def __init__(self, base):
+        super().__init__(base.p, base.rows)
+        self.applies = self.adjoints = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
+
+    def adjoint_apply(self, r):
+        self.adjoints += 1
+        return super().adjoint_apply(r)
+
+
+def _dct_cg_case(seed=80):
+    op = gen_partial_dct_operator(256, 1024, seed=seed)
+    truth = gen_sparse_signal(1024, 30, 100.0, seed=seed + 1)
+    inst = synthesize_instance(op, truth, 1e-2, seed=seed + 2)
+    cfg = SolverConfig(N=100, J_max=5, eps_bar=inst.noise_level, lsq_mode="cg")
+    return op, inst, cfg
+
+
+def _spy_cg(monkeypatch):
+    """Route pdas_inner's CG solves through a spy; returns its tallies."""
+    tally = {"iters": 0, "corrections": 0}
+    solve = pdasc_module.solve_cg
+
+    def spy(op, active, y, **kwargs):
+        off = kwargs["start"][0].copy()
+        off[active] = 0.0
+        tally["corrections"] += bool(off.any())
+        sol = solve(op, active, y, **kwargs)
+        tally["iters"] += sol.iterations
+        return sol
+
+    monkeypatch.setattr(pdasc_module, "solve_cg", spy)
+    return tally
+
+
+def test_pdasc_cg_one_apply_and_adjoint_per_cg_iteration(monkeypatch):
+    base, inst, cfg = _dct_cg_case()
+    op = CountingDctOperator(base)
+    tally = _spy_cg(monkeypatch)
+    report = pdasc(op, inst.y, cfg)
+    assert report.status == CONVERGED
+    # one pair per CG iteration, one exact refresh per lambda step, one pair per
+    # start that drops indices, and Psi^t y once
+    bound = tally["iters"] + len(report.records) + tally["corrections"] + 1
+    assert op.applies <= bound and op.adjoints <= bound
+    assert tally["iters"] > 2 * len(report.records)
+
+
+def test_pdasc_cg_records_hold_exact_residuals(monkeypatch):
+    op, inst, cfg = _dct_cg_case(seed=83)
+    states = []
+    inner = pdasc_module.pdas_inner
+
+    def capture(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        states.append(result.state)
+        return result
+
+    monkeypatch.setattr(pdasc_module, "pdas_inner", capture)
+    report = pdasc(op, inst.y, cfg)
+    assert len(states) == len(report.records) > 1
+    for rec, state in zip(report.records, states):
+        r = inst.y - op.apply(state.x)
+        assert abs(rec.residual - np.linalg.norm(r)) <= 1e-12 * np.linalg.norm(r)
+        assert np.max(np.abs(state.d - op.adjoint_apply(r))) <= 1e-12 * np.linalg.norm(inst.y)
+
+
+def test_pdasc_cg_start_correction_matches_uncorrected_replay(monkeypatch):
+    # the corrected path carries (r, d) into starts that drop indices; the
+    # replay rebuilds every start afresh from x on the active set alone
+    op, inst, cfg = _dct_cg_case()
+    tally = _spy_cg(monkeypatch)
+    report = pdasc(op, inst.y, cfg)
+    assert tally["corrections"] > 0
+
+    solve = importlib.import_module("l0kit.lsq").solve_cg
+
+    def fresh_start(op_, active, y, start, cache=None, **kwargs):
+        return solve(op_, active, y, warm_start=start[0][active], **kwargs)
+
+    monkeypatch.setattr(pdasc_module, "solve_cg", fresh_start)
+    replay = pdasc(op, inst.y, cfg)
+    assert np.array_equal(report.support_final, replay.support_final)
+    assert report.lam_final == replay.lam_final
+    assert [r.active_size for r in report.records] == [r.active_size for r in replay.records]
+    assert np.max(np.abs(report.x_final - replay.x_final)) <= 1e-9 * np.linalg.norm(replay.x_final)
+
+
+def test_pdas_inner_cg_without_carried_residual():
+    # without r0 the first CG solve starts from a fresh pair built from x0
+    op, inst, cfg = _dct_cg_case()
+    cg = {"noise_level": cfg.eps_bar, "max_iters": 2, "tol_factor": 1e-5}
+    x0 = np.zeros(op.p)
+    x0[:5] = 1.0
+    d0 = op.dual(inst.y, x0)
+    active = np.arange(3, 12)
+    carried = pdas_inner(op, inst.y, 1e-3, x0, d0, active, 3, cg=cg,
+                         r0=inst.y - op.apply(x0))
+    fresh = pdas_inner(op, inst.y, 1e-3, x0, np.zeros(op.p), active, 3, cg=cg)
+    assert [a.tolist() for a in carried.active_sets] == [a.tolist() for a in fresh.active_sets]
+    assert np.max(np.abs(carried.state.x - fresh.state.x)) <= 1e-12 * np.linalg.norm(fresh.state.x)
+    assert np.array_equal(fresh.state.residual, inst.y - op.apply(fresh.state.x))
