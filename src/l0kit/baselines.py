@@ -92,8 +92,8 @@ def htp(op, y, config, truth=None, x0=None):
     prev = None
     records = []
     status = MAX_ITERS
+    d = op.dual(y, x)   # afterwards each solve returns the dual of its solution
     for it in range(1, limit + 1):
-        d = op.dual(y, x)
         selected = _top_indices(x + config.step_size * d, config.T)
         if prev is not None and np.array_equal(selected, prev):
             status = CONVERGED
@@ -101,6 +101,7 @@ def htp(op, y, config, truth=None, x0=None):
         sol = solve_direct(op, selected, y)
         x = np.zeros(op.p)
         x[selected] = sol.x_active
+        d = sol.dual
         prev = selected
         res_norm = float(np.linalg.norm(sol.residual))
         records.append(_record(it, x, res_norm, truth))

@@ -11,7 +11,7 @@ import sys
 
 from .harness import (ConfigError, ExperimentConfig, bench_table_csv, certify_instance,
                       make_instance, run_bench, run_sweep, run_trace, rows_csv,
-                      sweep_table_csv, trace_csv, _solver_runner)
+                      sweep_table_csv, trace_csv)
 from .operators import save_operator_binary, save_operator_csv
 from .problem import instance_to_json, write_json
 from .theory import CapacityError
@@ -102,8 +102,7 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     config = _load_config(args)
-    entry = config.solvers[args.solver_index]
-    _, run = _solver_runner(entry)
+    _, run = config.runner(args.solver_index)
     inst, _ = make_instance(config, config.t_values()[0], args.trial)
     report = run(inst)
     if args.format == "json":

@@ -5,7 +5,8 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +49,7 @@ class ExperimentConfig:
     trials: int
     seed: int
     solvers: list = field(default_factory=list)
+    runners: list = field(init=False, repr=False, compare=False)  # (label, run) per entry
 
     def __post_init__(self):
         kind = self.matrix.get("kind")
@@ -62,11 +64,16 @@ class ExperimentConfig:
             raise ConfigError("sigma must be nonnegative")
         if not self.solvers:
             raise ConfigError("at least one solver entry is required")
-        for entry in self.solvers:
-            _solver_runner(entry)  # surfaces unknown names/knobs before anything runs
+        self.runners = [_solver_runner(entry) for entry in self.solvers]  # bad ones fail here
         for t in self.t_values():
             if not 1 <= t <= n:
                 raise ConfigError(f"sparsity T={t} outside 1..n={n}")
+
+    def runner(self, index):
+        """The ``(label, run)`` pair of solver entry ``index``."""
+        if not 0 <= index < len(self.runners):
+            raise ConfigError(f"solver index {index} outside 0..{len(self.runners) - 1}")
+        return self.runners[index]
 
     def t_values(self):
         if "T_values" in self.signal:
@@ -134,6 +141,8 @@ def psnr(x_hat, x_ref):
 
 def make_instance(config, T, trial):
     """Deterministically synthesize the instance for one trial."""
+    if trial < 0:
+        raise ConfigError(f"trial must be >= 0, got {trial}")
     n, p = config.matrix["n"], config.matrix["p"]
     run_seed = config.seed + trial
     op_seed, sig_seed, noise_seed = np.random.SeedSequence(run_seed).spawn(3)
@@ -144,82 +153,86 @@ def make_instance(config, T, trial):
 
 
 def _solver_runner(spec):
-    """Turn one solver entry of the config into (id, callable(instance) -> report)."""
+    """Turn one solver entry of the config into (label, callable(instance) -> report).
+
+    The solver config is built and validated once; per instance the callable
+    only fills in the field the entry leaves to the instance. Solvers are
+    looked up on their modules at call time, so rebinding them takes effect."""
     spec = dict(spec)
     name = spec.pop("name", None)
     if name == "pdasc":
         label = spec.pop("label", f"pdasc({spec.get('N', 100)},{spec.get('J_max', 5)})")
         eps_bar = spec.pop("eps_bar", None)
         try:
-            SolverConfig(eps_bar=1.0, **spec)  # surface bad keys/values before any trial runs
+            cfg = SolverConfig(eps_bar=1.0 if eps_bar is None else eps_bar, **spec)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad pdasc solver entry: {err}") from None
 
         def run(inst):
-            level = eps_bar
-            if level is None:
+            solver_cfg = cfg
+            if eps_bar is None:
                 # default: the instance noise level; a noiseless instance gets
                 # a near-zero floor so the discrepancy check is reachable
                 level = inst.noise_level if inst.noise_level > 0 \
                     else 1e-10 * float(np.linalg.norm(inst.y))
-            cfg = SolverConfig(eps_bar=level, **spec)
-            return pdasc(inst.operator, inst.y, cfg, truth=inst.truth)
+                solver_cfg = replace(cfg, eps_bar=level)
+            return pdasc(inst.operator, inst.y, solver_cfg, truth=inst.truth)
 
         return label, run
-    greedy = {"omp": baselines.omp, "htp": baselines.htp, "cosamp": baselines.cosamp,
-              "iht": baselines.iht, "aiht": baselines.iht}
-    if name not in greedy:
+    if name not in ("omp", "htp", "cosamp", "iht", "aiht"):
         raise ConfigError(f"unknown solver {name!r}")
     label = spec.pop("label", name)
     if name == "aiht":
         spec.setdefault("step_policy", "adaptive")
+    T = spec.pop("T", None)
     try:
-        baselines.GreedyConfig(T=spec.get("T", 1), **{k: v for k, v in spec.items() if k != "T"})
+        cfg = baselines.GreedyConfig(T=1 if T is None else T, **spec)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {name} solver entry: {err}") from None
+    method = "iht" if name == "aiht" else name
 
     def run(inst):
-        cfg = baselines.GreedyConfig(T=spec.get("T", inst.truth.sparsity),
-                                     **{k: v for k, v in spec.items() if k != "T"})
-        return greedy[name](inst.operator, inst.y, cfg, truth=inst.truth)
+        solver_cfg = cfg if T is not None else replace(cfg, T=inst.truth.sparsity)
+        return getattr(baselines, method)(inst.operator, inst.y, solver_cfg, truth=inst.truth)
 
     return label, run
 
 
-def _run_trial(config, T, trial, runner, clock):
-    inst, run_seed = make_instance(config, T, trial)
-    x_true = inst.truth.dense()
-    solver_id, run = runner
+def _run_trial(inst, x_true, run, clock, **cell):
+    """One solver on one instance; ``cell`` holds the row's solver, T, R, sigma and seed."""
     try:
         t0 = clock()
         report = run(inst)
         elapsed = clock() - t0
     except Exception as err:  # recorded per trial, never aborts the sweep
-        return MetricRow(solver=solver_id, T=T, R=config.dynamic_range, sigma=config.sigma,
-                         trial_seed=run_seed, wall_time_s=math.nan, rel_l2=math.nan,
+        return MetricRow(**cell, wall_time_s=math.nan, rel_l2=math.nan,
                          abs_linf=math.nan, exact_support=False, psnr_db=math.nan,
                          status="error", error=repr(err))
     x_hat = report.x_final
-    return MetricRow(solver=solver_id, T=T, R=config.dynamic_range, sigma=config.sigma,
-                     trial_seed=run_seed, wall_time_s=elapsed,
+    return MetricRow(**cell, wall_time_s=elapsed,
                      rel_l2=relative_l2(x_hat, x_true), abs_linf=abs_linf(x_hat, x_true),
                      exact_support=exact_support(x_hat, inst.truth.support),
                      psnr_db=psnr(x_hat, x_true), status=report.status)
 
 
 def run_sweep(config, clock=time.perf_counter):
-    """Run every (T, solver, trial) cell of the config; returns per-trial rows
-    and per-cell aggregates (recovery probability and error medians)."""
-    runners = [_solver_runner(s) for s in config.solvers]
-    rows = [_run_trial(config, T, trial, runner, clock)
-            for T in config.t_values() for runner in runners for trial in range(config.trials)]
-
-    aggregates = []
-    idx = 0
+    """Run every (T, solver, trial) cell of the config, building each (T, trial)
+    instance once for all solvers; returns per-trial rows in (T, solver, trial)
+    order and per-cell aggregates (recovery probability, error medians, status
+    counts) in (T, solver) order."""
+    rows, aggregates = [], []
     for T in config.t_values():
-        for solver_id, _ in runners:
-            cell = rows[idx:idx + config.trials]
-            idx += config.trials
+        cells = [[] for _ in config.runners]   # by entry index: labels may repeat
+        for trial in range(config.trials):
+            inst, run_seed = make_instance(config, T, trial)
+            x_true = inst.truth.dense()
+            for cell, (solver_id, run) in zip(cells, config.runners):
+                cell.append(_run_trial(inst, x_true, run, clock, solver=solver_id, T=T,
+                                       R=config.dynamic_range, sigma=config.sigma,
+                                       trial_seed=run_seed))
+        for cell, (solver_id, _) in zip(cells, config.runners):
+            rows.extend(cell)
+            statuses = Counter(r.status for r in cell)
             aggregates.append({
                 "solver": solver_id, "T": T, "R": config.dynamic_range,
                 "sigma": config.sigma, "trials": config.trials,
@@ -227,6 +240,7 @@ def run_sweep(config, clock=time.perf_counter):
                 "med_rel_l2": _median([r.rel_l2 for r in cell]),
                 "med_abs_linf": _median([r.abs_linf for r in cell]),
                 "med_time_s": _median([r.wall_time_s for r in cell]),
+                "n_error": statuses["error"], "status_counts": dict(statuses),
             })
     return {"rows": rows, "aggregates": aggregates}
 
@@ -234,14 +248,11 @@ def run_sweep(config, clock=time.perf_counter):
 def run_trace(config, solver_index=0):
     """Active-set evolution of a continuation run on the trial-0 instance:
     per outer step, how much of the set is inside/outside the true support."""
-    entry = config.solvers[solver_index]
-    if entry.get("name") != "pdasc":
+    _, run = config.runner(solver_index)
+    if config.solvers[solver_index].get("name") != "pdasc":
         raise ConfigError("trace requires a pdasc solver entry")
-    T = config.t_values()[0]
-    inst, _ = make_instance(config, T, 0)
-    _, run = _solver_runner(entry)
-    report = run(inst)
-    return report
+    inst, _ = make_instance(config, config.t_values()[0], 0)
+    return run(inst)
 
 
 def run_bench(config, clock=time.perf_counter):
@@ -309,8 +320,7 @@ def rows_csv(rows):
 def certify_instance(config, trial=0, rho=None):
     """Theory certificate for one configured instance (rho defaults to the
     midpoint of the admissible interval when it exists)."""
-    T = config.t_values()[0]
-    inst, _ = make_instance(config, T, trial)
+    inst, _ = make_instance(config, config.t_values()[0], trial)
     if rho is None:
         probe = certify(inst.operator, inst.truth, inst.noise_level, 0.5)
         lo = probe.rho_interval[0]

@@ -34,7 +34,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 __all__ = ["SingularGramError", "RestrictedLsqSolution", "GramCache",
            "solve_direct", "solve_cg"]
 
-# Pivot threshold below which the Gram factorization is declared singular.
+# The Gram factorization is declared singular when its smallest squared pivot is
+# at most this times the block's largest diagonal entry (free of column scale).
 GRAM_PIVOT_TOL = 1e-12
 
 
@@ -152,11 +153,12 @@ class GramCache:
         if active.size > self.op.n:
             raise SingularGramError(active.size)
         slots = self._slots(active)
+        gram = self._gram.take(slots, 0).take(slots, 1)
+        scale = float(gram.diagonal().max())
         # the gathered block is symmetric, so its transpose is the same matrix
         # in the column-major order LAPACK factors in place
-        factor, info = dpotrf(self._gram.take(slots, 0).take(slots, 1).T, lower=1, clean=0,
-                              overwrite_a=1)
-        if info != 0 or float(factor.diagonal().min()) ** 2 <= GRAM_PIVOT_TOL:
+        factor, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
+        if info != 0 or float(factor.diagonal().min()) ** 2 <= GRAM_PIVOT_TOL * scale:
             raise SingularGramError(active.size)
         x_a, _ = dpotrs(factor, self._cty.take(slots), lower=1)
         residual = self.y - x_a @ self._cols.take(slots, 0)

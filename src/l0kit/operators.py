@@ -64,6 +64,10 @@ class SensingOperator:
         """Correlation of the residual with the columns: Psi^t (y - Psi x)."""
         return self.adjoint_apply(y - self.apply(x))
 
+    def dense(self):
+        """The explicit n x p matrix (materialized column by column unless stored)."""
+        return self.columns(np.arange(self.p))
+
     def _check_apply_dim(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.p,):
@@ -104,6 +108,9 @@ class DenseOperator(SensingOperator):
     def columns(self, indices):
         indices = np.asarray(indices, dtype=np.intp)
         return self.mat[:, indices]
+
+    def dense(self):
+        return self.mat
 
 
 class PartialDctOperator(SensingOperator):
@@ -221,7 +228,7 @@ def _check_gen_dims(n, p):
 def save_operator_binary(op, path):
     """Write a dense operator: magic 'L0OP', u32 n, u32 p, f64 column-major data,
     all little-endian."""
-    mat = _dense_matrix(op)
+    mat = op.dense()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", _MAGIC, op.n, op.p))
         fh.write(np.asfortranarray(mat, dtype="<f8").tobytes(order="F"))
@@ -242,14 +249,8 @@ def load_operator_binary(path):
 
 
 def save_operator_csv(op, path):
-    np.savetxt(path, _dense_matrix(op), delimiter=",")
+    np.savetxt(path, op.dense(), delimiter=",")
 
 
 def load_operator_csv(path):
     return DenseOperator(np.atleast_2d(np.loadtxt(path, delimiter=",")))
-
-
-def _dense_matrix(op):
-    if isinstance(op, DenseOperator):
-        return op.mat
-    return op.columns(np.arange(op.p))

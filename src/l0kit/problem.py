@@ -178,8 +178,3 @@ def write_json(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)

@@ -33,7 +33,7 @@ def mutual_coherence(op, max_columns=COHERENCE_COLUMN_CAP):
     if op.p > max_columns:
         raise CapacityError(
             f"exact pairwise scan over p = {op.p} columns exceeds the cap {max_columns}")
-    mat = _dense(op)
+    mat = op.dense()
     best = 0.0
     block = 256
     for start in range(0, op.p, block):
@@ -56,7 +56,7 @@ def rip_constant_bruteforce(op, s, max_subsets=SUBSET_ENUMERATION_CAP):
     if math.comb(op.p, s) > max_subsets:
         raise CapacityError(
             f"C({op.p}, {s}) = {math.comb(op.p, s)} subsets exceeds the cap {max_subsets}")
-    mat = _dense(op)
+    mat = op.dense()
     delta = 0.0
     for subset in combinations(range(op.p), s):
         sv = np.linalg.svd(mat[:, subset], compute_uv=False)
@@ -318,10 +318,8 @@ def _onestep_context(op, instance, active):
     x_true = truth.dense()
     sol = solve_direct(op, active, instance.y)
     xbar = sol.x_active - x_true[active]
-    true_set = set(int(i) for i in truth.support)
-    b = np.asarray(sorted(true_set - set(int(i) for i in active)), dtype=np.intp)
-    off_true = np.asarray(
-        sorted(set(range(op.p)) - true_set - set(int(i) for i in active)), dtype=np.intp)
+    b = np.setdiff1d(truth.support, active)
+    off_true = np.setdiff1d(np.arange(op.p), np.union1d(truth.support, active))
     xb = x_true[b]
     return {
         "d": sol.dual,
@@ -371,10 +369,3 @@ def level_set(truth, lam, s):
     cut = math.sqrt(2.0 * lam) * s
     members = truth.support[np.abs(truth.values) >= cut]
     return LevelSet(lam=float(lam), s=float(s), indices=np.asarray(members, dtype=np.intp))
-
-
-def _dense(op):
-    mat = getattr(op, "mat", None)
-    if mat is not None:
-        return mat
-    return op.columns(np.arange(op.p))

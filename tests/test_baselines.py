@@ -108,16 +108,20 @@ def test_adaptive_iht_residual_never_increases():
         assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
 
 
-class ApplyCountingOperator(DenseOperator):
-    """A dense operator that counts its applies."""
+class CountingOperator(DenseOperator):
+    """A dense operator that counts its applies and adjoints."""
 
     def __init__(self, base):
         super().__init__(base.mat, columns_normalized=True)
-        self.applies = 0
+        self.applies = self.adjoints = 0
 
     def apply(self, x):
         self.applies += 1
         return super().apply(x)
+
+    def adjoint_apply(self, r):
+        self.adjoints += 1
+        return super().adjoint_apply(r)
 
 
 def _iht_instance():
@@ -128,7 +132,7 @@ def _iht_instance():
 
 def test_fixed_iht_applies_each_iterate_once():
     base, inst = _iht_instance()
-    op = ApplyCountingOperator(base)
+    op = CountingOperator(base)
     report = iht(op, inst.y, GreedyConfig(T=40))
     assert len(report.records) == 100
     assert op.applies <= len(report.records) + 1
@@ -138,7 +142,7 @@ def test_adaptive_iht_applies_only_in_the_step_search(monkeypatch):
     # the residual of the accepted proposal is carried, so outside the step
     # search only the starting point is applied (before: two more per iteration)
     base, inst = _iht_instance()
-    op = ApplyCountingOperator(base)
+    op = CountingOperator(base)
     in_step = [0]
     step = baselines_module._adaptive_step
 
@@ -153,6 +157,17 @@ def test_adaptive_iht_applies_only_in_the_step_search(monkeypatch):
     report = iht(op, inst.y, GreedyConfig(T=40, step_policy="adaptive"))
     assert len(report.records) > 10
     assert op.applies - in_step[0] == 1
+
+
+def test_htp_reuses_the_dual_of_each_solve():
+    # one apply/adjoint pair for the starting dual, then the one adjoint each
+    # solve spends on its own dual (before: 5 applies and 9 adjoints here)
+    base, inst = _iht_instance()
+    op = CountingOperator(base)
+    report = htp(op, inst.y, GreedyConfig(T=40))
+    assert report.status == "converged"
+    assert len(report.records) == 4
+    assert (op.applies, op.adjoints) == (1, 5)
 
 
 def test_every_baseline_respects_sparsity_budget():

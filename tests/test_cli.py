@@ -104,6 +104,19 @@ def test_config_error_exit_code(tmp_path):
     assert main(["sweep", "--config", str(garbage)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--solver-index", "2"],
+    ["solve", "--solver-index", "-1"],
+    ["solve", "--trial", "-1"],
+    ["certify", "--trial", "-1"],
+])
+def test_bad_index_is_a_config_error(config_path, tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--config", str(config_path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_capacity_error_exit_code(tmp_path):
     # certify computes exact pairwise coherence; p beyond the scan cap -> exit 3
     doc = {

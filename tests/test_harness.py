@@ -1,9 +1,11 @@
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import l0kit.harness as harness_module
 from l0kit import psnr, relative_l2, abs_linf, exact_support
 from l0kit.harness import (ConfigError, ExperimentConfig, bench_table_csv, make_instance,
                            run_bench, run_sweep, run_trace, rows_csv, sweep_table_csv,
@@ -139,7 +141,89 @@ def test_sweep_survives_per_trial_solver_errors():
     })
     result = run_sweep(config)
     assert all(r.status == "error" and r.error for r in result["rows"])
-    assert result["aggregates"][0]["recovery_prob"] == 0.0
+    agg = result["aggregates"][0]
+    assert agg["recovery_prob"] == 0.0
+    assert agg["n_error"] == 2
+    assert agg["status_counts"] == {"error": 2}
+
+
+def shared_instance_config():
+    # two entries share a label, so cells must be told apart by entry index
+    return small_config(signal={"T_values": [3, 5], "R": 10.0}, solvers=[
+        {"name": "pdasc", "N": 60, "J_max": 3, "label": "same"},
+        {"name": "pdasc", "N": 60, "J_max": 3, "lsq_mode": "cg", "label": "same"},
+        {"name": "omp"}, {"name": "htp"}, {"name": "aiht"}])
+
+
+def test_sweep_builds_each_instance_once_and_leaves_it_untouched(monkeypatch):
+    config = shared_instance_config()
+    built = []
+
+    def recording_make_instance(config, T, trial):
+        inst, run_seed = make_instance(config, T, trial)
+        built.append((inst, inst.y.tobytes()))
+        return inst, run_seed
+
+    captured = []
+    solve = harness_module.pdasc
+
+    def capturing_pdasc(op, y, config, truth=None):
+        captured.append(y.tobytes())
+        return solve(op, y, config, truth=truth)
+
+    monkeypatch.setattr(harness_module, "make_instance", recording_make_instance)
+    monkeypatch.setattr(harness_module, "pdasc", capturing_pdasc)
+    rows = run_sweep(config)["rows"]
+    assert len(built) == 2 * config.trials   # once per (T, trial), not per solver
+    assert all(inst.y.tobytes() == y for inst, y in built)
+    # every pdasc row ran through the module attribute, on a shared instance
+    assert len(captured) == sum(r.solver == "same" for r in rows) == 2 * 2 * config.trials
+    assert sorted(captured) == sorted(2 * [y for _, y in built])
+
+
+def test_sweep_rows_match_a_fresh_instance_per_solver():
+    config = shared_instance_config()
+    result = run_sweep(config)
+    reference = []
+    for T in config.t_values():
+        for label, run in config.runners:
+            for trial in range(config.trials):
+                inst, run_seed = make_instance(config, T, trial)
+                report, x_true = run(inst), inst.truth.dense()
+                x_hat = report.x_final
+                reference.append({
+                    "solver": label, "T": T, "R": config.dynamic_range,
+                    "sigma": config.sigma, "trial_seed": run_seed,
+                    "rel_l2": relative_l2(x_hat, x_true), "abs_linf": abs_linf(x_hat, x_true),
+                    "exact_support": exact_support(x_hat, inst.truth.support),
+                    "psnr_db": psnr(x_hat, x_true), "status": report.status,
+                    "error": None})
+    rows = [asdict(r) for r in result["rows"]]
+    for row in rows:
+        del row["wall_time_s"]
+    assert rows == reference
+    # aggregates in (T, entry) order, each over its own entry's rows
+    assert len(result["aggregates"]) == 2 * 5
+    for k, agg in enumerate(result["aggregates"]):
+        cell = rows[k * config.trials:(k + 1) * config.trials]
+        assert agg["solver"] == cell[0]["solver"] and agg["T"] == cell[0]["T"]
+        assert agg["med_rel_l2"] == float(np.median([r["rel_l2"] for r in cell]))
+        assert agg["n_error"] == 0
+        assert sum(agg["status_counts"].values()) == config.trials
+
+
+def test_config_parses_each_entry_once_outside_repr_and_compare():
+    config = small_config()
+    assert [label for label, _ in config.runners] == ["pdasc(60,3)", "omp"]
+    assert "runners" not in repr(config)
+    assert config == small_config()
+    with pytest.raises(ConfigError):
+        small_config(solvers=[{"name": "pdasc", "eps_bar": -1.0}])
+    for index in (2, -1):
+        with pytest.raises(ConfigError):
+            config.runner(index)
+    with pytest.raises(ConfigError):
+        make_instance(config, 4, trial=-1)
 
 
 # ------------------------------------------------------------------------ trace
@@ -148,6 +232,8 @@ def test_trace_requires_continuation_solver():
     config = small_config(solvers=[{"name": "omp"}])
     with pytest.raises(ConfigError):
         run_trace(config)
+    with pytest.raises(ConfigError):
+        run_trace(config, solver_index=1)
 
 
 def test_trace_columns_and_noiseless_certified_run():

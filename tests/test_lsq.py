@@ -54,6 +54,23 @@ def test_singular_gram_raises_with_size():
         solve_direct(gen_gaussian_operator(3, 8, seed=0), [0, 1, 2, 3], np.ones(3))
 
 
+def test_pivot_test_is_relative_to_the_gram_diagonal():
+    # columns scaled by 1e-7 give Gram entries near 1e-14, under the absolute
+    # pivot tolerance; the solve must see through the scale: x_A grows by 1e7
+    base = gen_gaussian_operator(50, 100, seed=3)
+    tiny = DenseOperator(base.mat * 1e-7)
+    y = np.random.default_rng(4).standard_normal(50)
+    active = np.arange(10)
+    expected = solve_direct(base, active, y).x_active * 1e7
+    got = solve_direct(tiny, active, y).x_active
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    # a repeated column is still singular at that scale
+    mat = tiny.mat.copy()
+    mat[:, 1] = mat[:, 0]
+    with pytest.raises(SingularGramError):
+        solve_direct(DenseOperator(mat), active, y)
+
+
 def test_active_set_validation():
     op = gen_gaussian_operator(5, 10, seed=0)
     with pytest.raises(ValueError):
