@@ -139,7 +139,7 @@ def iht(op, y, config, truth=None, x0=None):
         moved = not np.array_equal(proposal, x)
         x = proposal
         res_norm = float(np.linalg.norm(r))
-        records.append(_record(it, x, res_norm, truth))
+        records.append(_record(it, x, res_norm, truth, solves=0))
         if res_norm <= config.tol or not moved:
             status = CONVERGED
             break
@@ -193,8 +193,8 @@ def cosamp(op, y, config, truth=None):
     return _report(x, records, status, "cosamp")
 
 
-def _record(it, x, res_norm, truth):
-    return LambdaRecord.build(it, math.nan, np.flatnonzero(x), 1, res_norm, truth)
+def _record(it, x, res_norm, truth, solves=1):
+    return LambdaRecord.build(it, math.nan, np.flatnonzero(x), 1, res_norm, truth, solves)
 
 
 def _report(x, records, status, solver):

@@ -43,14 +43,16 @@ class SingularGramError(RuntimeError):
     """The Gram matrix on the active set is numerically singular.
 
     Carries the offending set size; the continuation driver attaches the
-    lambda and active set it was working on.
+    lambda and active set it was working on, and the number of solves its
+    step had made, this one included.
     """
 
-    def __init__(self, set_size, lam=None, active=None):
+    def __init__(self, set_size, lam=None, active=None, solves=None):
         super().__init__(f"singular Gram matrix on an active set of size {set_size}")
         self.set_size = set_size
         self.lam = lam
         self.active = active
+        self.solves = solves
 
 
 @dataclass

@@ -5,10 +5,14 @@ active set with an explicit dual update and a hard-threshold re-selection of
 the set; the outer loop drives the threshold scale lambda down a geometric
 grid, warm-starting every problem from the previous one, and stops at the
 first lambda whose residual reaches the discrepancy level.
+
+A direct path solves each active set once: a step that starts on the set the
+previous step has just solved re-selects from the carried pair instead of
+repeating that solve. The skipped solve still counts as an inner iteration,
+so the path is bitwise that of the repeat (see ``pdas_inner``).
 """
 
 import io
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -170,6 +174,8 @@ class SolverState:
     ``active`` is the thresholded carry-over set used to warm-start the next
     lambda; ``solved_set`` is the set of the last restricted solve, off which
     x vanishes exactly; ``residual`` is y - Psi x and d = Psi^t residual.
+    ``solves`` counts the restricted solves made, one fewer than
+    ``inner_iters`` when the first was skipped.
     """
 
     lam: float
@@ -179,6 +185,7 @@ class SolverState:
     solved_set: np.ndarray
     inner_iters: int
     residual: np.ndarray
+    solves: int
 
     @property
     def residual_norm(self):
@@ -189,33 +196,43 @@ class SolverState:
 class InnerResult:
     state: SolverState
     status: str                 # FIXED_POINT | CAP_HIT
-    active_sets: list           # sets solved on, in order
+    active_sets: list           # the set of each iteration, in order, a skipped solve's too
 
 
-def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None):
+def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solved=None):
     """Run the inner primal-dual active set loop at a fixed lambda.
 
-    Starting from the set A0 (on which the first restricted solve happens),
-    each iteration solves the least-squares problem on the current set,
+    Starting from the set A0 (whose solve comes first unless it is skipped, as
+    below), each iteration solves the least-squares problem on the current set,
     updates the dual d = Psi^t(y - Psi x), and re-selects
     {i : |x_i + d_i| > sqrt(2 lam)}. Stops at a fixed point of the selection
-    or after J_max solves; the carried active set is the final selection
+    or after J_max iterations; the carried active set is the final selection
     (recomputed from the last pair), falling back to the last solved set if
     the selection outgrows the row count.
 
+    ``solved`` is the set whose direct solve gave (x0, r0, d0). When A0 equals
+    it, r0 is given and ``cg`` is not, the first solve, which would return
+    (x0, r0, d0) bitwise, is skipped and the loop re-selects from them. The
+    skip still counts as an iteration (toward J_max, ``inner_iters`` and
+    ``active_sets``), so paths match a loop that repeats the solve even where
+    a step hits J_max. The carried vectors are never written in place.
+
     ``cache`` is a GramCache for (op, y) shared by the solves of a whole path;
-    ``cg`` holds the ``solve_cg`` keyword settings (noise_level, max_iters,
-    tol_factor) when the nonempty sets are solved by CG instead of Cholesky.
-    CG starts from the full iterate (x0, r0 = y - Psi x0, d0 = Psi^t r0) and
-    carries the residual and dual by recurrence from solve to solve; without
-    ``r0`` the first CG solve starts from a freshly computed pair. A step whose
-    last solve was CG ends by recomputing r and d from x once, so the state
-    (and the next step's start) is exact.
+    without one, the call builds one for its own solves. ``cg`` holds the
+    ``solve_cg`` keyword settings (noise_level, max_iters, tol_factor) when
+    the nonempty sets are solved by CG instead of Cholesky. CG starts from
+    the full iterate (x0, r0 = y - Psi x0, d0 = Psi^t r0) and carries the
+    residual and dual by recurrence from solve to solve; without ``r0`` the
+    first CG solve starts from a freshly computed pair. A step whose last
+    solve was CG ends by recomputing r and d from x once, so the state (and
+    the next step's start) is exact.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if J_max < 1:
         raise ValueError("J_max must be >= 1")
+    cache = GramCache(op, y) if cache is None else cache
+    y = cache.y
     thr = math.sqrt(2.0 * lam)
     current = np.sort(np.asarray(A0, dtype=np.intp))
     if current.size > op.n:
@@ -227,25 +244,33 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None):
     r = None if r0 is None else np.asarray(r0, dtype=float)
     if r is not None and r.shape != (op.n,):
         raise ValueError("r0 must be a length-n vector")
+    skip = (cg is None and r is not None and solved is not None
+            and np.array_equal(current, solved))
     sets = []
     status = CAP_HIT
     carry = current
+    solves = 0
+    refresh = False
     for _ in range(J_max):
-        try:
-            if cg is None or current.size == 0:
-                sol = solve_direct(op, current, y, cache)
-            else:
-                if r is None:
-                    r = y - op.apply(x)
-                    d = op.adjoint_apply(r)
-                sol = solve_cg(op, current, y, cache=cache, start=(x, r, d), **cg)
-        except SingularGramError as err:
-            err.lam = lam
-            err.active = current
-            raise
-        x = np.zeros(op.p)
-        x[current] = sol.x_active
-        r, d = sol.residual, sol.dual
+        if skip:
+            skip = False  # (x, r, d) already solve the current set
+        else:
+            solves += 1
+            try:
+                if cg is None or current.size == 0:
+                    sol = solve_direct(op, current, y, cache)
+                else:
+                    if r is None:
+                        r = y - op.apply(x)
+                        d = op.adjoint_apply(r)
+                    sol = solve_cg(op, current, y, cache=cache, start=(x, r, d), **cg)
+            except SingularGramError as err:
+                err.lam, err.active, err.solves = lam, current, solves
+                raise
+            x = np.zeros(op.p)
+            x[current] = sol.x_active
+            r, d = sol.residual, sol.dual
+            refresh = sol.method == "cg"
         sets.append(current)
         selected = np.flatnonzero(np.abs(x + d) > thr)
         if selected.size == current.size and (selected == current).all():
@@ -257,11 +282,11 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None):
             break
         carry = selected
         current = selected
-    if sol.method == "cg":  # replace the recurrence pair by an exact one
+    if refresh:  # replace the recurrence pair by an exact one
         r = y - op.apply(x)
         d = op.adjoint_apply(r)
     state = SolverState(lam=lam, x=x, d=d, active=carry, solved_set=sets[-1],
-                        inner_iters=len(sets), residual=r)
+                        inner_iters=len(sets), residual=r, solves=solves)
     return InnerResult(state=state, status=status, active_sets=sets)
 
 
@@ -274,17 +299,20 @@ class LambdaRecord:
     residual: float
     overlap_true: int | None = None
     excess_outside_true: int | None = None
+    solves: int = 0
 
     @classmethod
-    def build(cls, k, lam, active, inner_iters, residual_norm, truth=None):
+    def build(cls, k, lam, active, inner_iters, residual_norm, truth=None, solves=0):
         """The record of one step from the residual norm the solver already
-        has; with ``truth``, also the active set's overlap with its support."""
+        has; with ``truth``, also the active set's overlap with its support.
+        ``solves`` is the number of restricted solves the step made."""
         overlap = excess = None
         if truth is not None:
             overlap = int(np.count_nonzero(np.isin(active, truth.support)))
             excess = int(active.size) - overlap
         return cls(k=k, lam=lam, active_size=int(active.size), inner_iters=inner_iters,
-                   residual=residual_norm, overlap_true=overlap, excess_outside_true=excess)
+                   residual=residual_norm, overlap_true=overlap, excess_outside_true=excess,
+                   solves=solves)
 
 
 @dataclass
@@ -309,15 +337,10 @@ class SolveReport:
                 {"k": r.k, "lambda": r.lam, "active_size": r.active_size,
                  "inner_iters": r.inner_iters, "residual": r.residual,
                  "overlap_true": r.overlap_true,
-                 "excess_outside_true": r.excess_outside_true}
+                 "excess_outside_true": r.excess_outside_true, "solves": r.solves}
                 for r in self.records
             ],
         }
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
 
     def records_csv(self):
         buf = io.StringIO()
@@ -327,10 +350,6 @@ class SolveReport:
             exc = "" if r.excess_outside_true is None else str(r.excess_outside_true)
             buf.write(f"{r.k},{r.lam!r},{r.active_size},{r.inner_iters},{r.residual!r},{over},{exc}\n")
         return buf.getvalue()
-
-    def save_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.records_csv())
 
 
 def pdasc(op, y, config, truth=None):
@@ -342,10 +361,16 @@ def pdasc(op, y, config, truth=None):
     singular Gram matrix the lambda step is abandoned and the previous state
     carried forward; three consecutive failures abort the run. When ``truth``
     is given, path records include the active set's overlap with the true
-    support. One GramCache serves every restricted solve of the path.
+    support. One GramCache serves every restricted solve of the path, and
+    each step is passed the set its carried state was solved on. The
+    sqrt(2 lam) threshold assumes unit-norm columns, so an operator with
+    ``columns_normalized`` False is rejected.
     """
     if config.eps_bar is None:
         raise ValueError("SolverConfig.eps_bar (discrepancy level) must be set")
+    if not op.columns_normalized:
+        raise ValueError("pdasc needs unit-norm columns, but the operator has "
+                         "columns_normalized=False")
     cache = GramCache(op, y)
     y = cache.y
     res_norm = float(np.linalg.norm(y))   # at x = 0
@@ -361,8 +386,8 @@ def pdasc(op, y, config, truth=None):
         "noise_level": config.eps_bar, "max_iters": config.cg_max_iters,
         "tol_factor": config.cg_tol_factor}
 
-    x, r, d = np.zeros(op.p), y, cache.aty
-    active = empty
+    x, r, d = np.zeros(op.p), y, cache.aty   # the solution on the empty set
+    active = solved = empty
     records = []
     status = GRID_EXHAUSTED
     lam_final = None
@@ -371,10 +396,10 @@ def pdasc(op, y, config, truth=None):
         lam_k = float(grid[k])
         lam_final = lam_k
         try:
-            result = pdas_inner(op, y, lam_k, x, d, active, config.J_max, cache, cg, r)
-        except SingularGramError:
+            result = pdas_inner(op, y, lam_k, x, d, active, config.J_max, cache, cg, r, solved)
+        except SingularGramError as err:
             failures += 1
-            records.append(LambdaRecord.build(k, lam_k, active, 0, res_norm, truth))
+            records.append(LambdaRecord.build(k, lam_k, active, 0, res_norm, truth, err.solves))
             if failures >= SINGULAR_SKIP_LIMIT:
                 status = SINGULAR_GRAM_ABORT
                 break
@@ -382,8 +407,10 @@ def pdasc(op, y, config, truth=None):
         failures = 0
         state = result.state
         x, r, d, active = state.x, state.residual, state.d, state.active
+        solved = state.solved_set
         res_norm = state.residual_norm
-        records.append(LambdaRecord.build(k, lam_k, active, state.inner_iters, res_norm, truth))
+        records.append(LambdaRecord.build(k, lam_k, active, state.inner_iters, res_norm, truth,
+                                          state.solves))
         if res_norm <= config.eps_bar:
             status = CONVERGED
             break

@@ -46,6 +46,7 @@ def test_solve_and_trace_and_bench(config_path, tmp_path):
                  "--format", "json"]) == 0
     doc = json.loads(solve_out.read_text())
     assert doc["solver"] == "pdasc" and doc["records"]
+    assert all(0 <= r["solves"] <= r["inner_iters"] for r in doc["records"])
 
     trace_out = tmp_path / "trace.csv"
     assert main(["trace", "--config", str(config_path), "--out", str(trace_out)]) == 0

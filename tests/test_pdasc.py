@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from l0kit import (CAP_HIT, CONVERGED, FIXED_POINT, GRID_EXHAUSTED, SINGULAR_GRAM_ABORT,
-                   DenseOperator, PartialDctOperator, SolverConfig, bruteforce_l0_min,
+                   CustomOperator, DenseOperator, GramCache, PartialDctOperator,
+                   SolverConfig, bruteforce_l0_min,
                    check_coordinatewise_min, continuation_grid, gen_gaussian_operator,
                    gen_partial_dct_operator, gen_sparse_signal, hard_threshold,
                    objective, oracle_solution, pdas_inner, pdasc, synthesize_instance)
@@ -236,26 +237,51 @@ def test_pdasc_gaussian_recovery_rate():
     assert hits >= 17  # 0.9 - 0.15 slack on 20 trials, rounded up
 
 
-def test_pdasc_warm_start_replay():
-    # replaying the grid through pdas_inner with carried states reproduces the
-    # driver exactly: each lambda's first solve happens on the previous carry set
-    op = gen_gaussian_operator(40, 80, seed=27)
-    truth = gen_sparse_signal(80, 6, 5.0, seed=28)
-    inst = synthesize_instance(op, truth, 1e-3, seed=29)
-    cfg = SolverConfig(N=40, J_max=4, eps_bar=inst.noise_level)
-    report = pdasc(op, inst.y, cfg, truth=truth)
+def _replay_case(case):
+    """(operator, data, config) of a warm-start replay case."""
+    if case == "rows8":   # the grid_exhausted case below, with its "selection > n" steps
+        op = gen_gaussian_operator(8, 32, seed=36)
+        truth = gen_sparse_signal(32, 3, 2.0, seed=37)
+        inst = synthesize_instance(op, truth, 1e-3, seed=38)
+        return op, inst.y, SolverConfig(N=80, J_max=4, eps_bar=1e-16)
+    seed, J_max = case
+    op = gen_gaussian_operator(40, 80, seed=seed)
+    truth = gen_sparse_signal(80, 6, 5.0, seed=seed + 1)
+    inst = synthesize_instance(op, truth, 1e-3, seed=seed + 2)
+    return op, inst.y, SolverConfig(N=40, J_max=J_max, eps_bar=inst.noise_level)
 
-    grid, _ = cfg.resolve_grid(op, inst.y)
-    x = np.zeros(80)
-    d = op.adjoint_apply(inst.y)
-    active = np.zeros(0, dtype=np.intp)
-    for rec in report.records:
-        res = pdas_inner(op, inst.y, float(grid[rec.k]), x, d, active, cfg.J_max)
-        assert np.array_equal(res.active_sets[0], active)  # warm-start continuity
-        x, d, active = res.state.x, res.state.d, res.state.active
-        assert rec.active_size == active.size
-        assert rec.inner_iters == res.state.inner_iters
-        assert rec.residual == pytest.approx(np.linalg.norm(inst.y - op.apply(x)), abs=1e-12)
+
+REPLAY_CASES = [(27, 4), (28, 3), (29, 2), (31, 3), (32, 2), (37, 2), (37, 4), (41, 3), "rows8"]
+
+
+def test_pdasc_warm_start_replay():
+    # replaying the grid through pdas_inner without the carried solved set,
+    # so every step repeats its first solve, reproduces the driver bitwise:
+    # the driver's skipped solves change nothing but the solve count
+    for case in REPLAY_CASES:
+        op, y, cfg = _replay_case(case)
+        report = pdasc(op, y, cfg)
+
+        cache = GramCache(op, y)
+        grid, _ = cfg.resolve_grid(op, y)
+        x, d = np.zeros(op.p), cache.aty
+        active = np.zeros(0, dtype=np.intp)
+        caps = fallbacks = skipped = 0
+        for rec in report.records:
+            assert rec.inner_iters > 0   # no singular skips to replay
+            res = pdas_inner(op, y, float(grid[rec.k]), x, d, active, cfg.J_max, cache)
+            assert np.array_equal(res.active_sets[0], active)  # warm-start continuity
+            x, d, active = res.state.x, res.state.d, res.state.active
+            assert (rec.active_size, rec.inner_iters) == (active.size, res.state.inner_iters)
+            assert rec.residual == res.state.residual_norm
+            assert rec.residual == pytest.approx(np.linalg.norm(y - op.apply(x)), abs=1e-12)
+            assert res.state.solves == res.state.inner_iters
+            caps += res.state.inner_iters == cfg.J_max
+            fallbacks += res.status == CAP_HIT and res.state.inner_iters < cfg.J_max
+            skipped += rec.solves == rec.inner_iters - 1
+        assert np.array_equal(report.x_final, x), case
+        assert caps > 0 and skipped > 0, case   # every case has steps that hit J_max
+        assert fallbacks > 0 or case != "rows8"
 
 
 def test_pdasc_records_decrease_in_lambda():
@@ -293,6 +319,7 @@ def test_pdasc_singular_gram_skip_then_abort():
     assert report.status == SINGULAR_GRAM_ABORT
     skipped = [r for r in report.records if r.inner_iters == 0]
     assert len(skipped) == 3
+    assert all(r.solves >= 1 for r in skipped)   # each made the solve that failed
 
 
 def test_pdasc_active_size_never_exceeds_rows():
@@ -316,7 +343,7 @@ def test_pdasc_cg_mode_recovers_structured_instance():
     assert np.array_equal(report.support_final, truth.support)
 
 
-def test_pdasc_report_serialization(tmp_path):
+def test_pdasc_report_serialization():
     op = gen_gaussian_operator(20, 40, seed=39)
     truth = gen_sparse_signal(40, 3, 2.0, seed=40)
     inst = synthesize_instance(op, truth, 1e-3, seed=41)
@@ -325,14 +352,11 @@ def test_pdasc_report_serialization(tmp_path):
     doc = report.to_json()
     assert doc["status"] == report.status
     assert len(doc["records"]) == len(report.records)
+    assert [r["solves"] for r in doc["records"]] == [r.solves for r in report.records]
     csv_text = report.records_csv()
     header = csv_text.splitlines()[0]
     assert header == "k,lambda,active_size,inner_iters,residual,overlap_true,excess_outside_true"
     assert len(csv_text.splitlines()) == len(report.records) + 1
-    report.save_json(tmp_path / "report.json")
-    report.save_csv(tmp_path / "report.csv")
-    assert (tmp_path / "report.json").exists()
-    assert (tmp_path / "report.csv").exists()
 
 
 class CountingOperator(DenseOperator):
@@ -492,3 +516,103 @@ def test_pdas_inner_cg_without_carried_residual():
     assert [a.tolist() for a in carried.active_sets] == [a.tolist() for a in fresh.active_sets]
     assert np.max(np.abs(carried.state.x - fresh.state.x)) <= 1e-12 * np.linalg.norm(fresh.state.x)
     assert np.array_equal(fresh.state.residual, inst.y - op.apply(fresh.state.x))
+
+
+# ------------------------------------------------------- one solve per set
+
+def _spy_solves(monkeypatch):
+    """Route pdas_inner's restricted solves through spies; returns the
+    (method, set) of every call, in order."""
+    calls = []
+    for name in ("solve_direct", "solve_cg"):
+        def spy(op, active, y, *args, _solve=getattr(pdasc_module, name), _name=name,
+                **kwargs):
+            calls.append((_name, np.asarray(active).tolist()))
+            return _solve(op, active, y, *args, **kwargs)
+        monkeypatch.setattr(pdasc_module, name, spy)
+    return calls
+
+
+def test_inner_skips_the_first_solve_of_its_solved_set():
+    op = gen_gaussian_operator(30, 60, seed=18)
+    truth = gen_sparse_signal(60, 5, 10.0, seed=19)
+    inst = synthesize_instance(op, truth, 1e-3, seed=20)
+    cache = GramCache(op, inst.y)
+    lam = 0.5 * (0.5 * np.max(np.abs(cache.aty))) ** 2
+    first = pdas_inner(op, inst.y, lam, np.zeros(60), cache.aty, [], 10, cache)
+    st = first.state
+    assert first.status == FIXED_POINT and st.solves == st.inner_iters > 1
+    for v in (st.x, st.d, st.residual):
+        v.setflags(write=False)   # the skip must not write into what it carries
+
+    carried = pdas_inner(op, inst.y, lam, st.x, st.d, st.solved_set, 10, cache,
+                         r0=st.residual, solved=st.solved_set)
+    assert (carried.status, carried.state.inner_iters, carried.state.solves) == (FIXED_POINT, 1, 0)
+    assert [a.tolist() for a in carried.active_sets] == [st.solved_set.tolist()]
+    # without the carried residual, or with another solved set of the same
+    # size, the first solve is made, and it returns the carried state bitwise
+    swapped = np.sort(np.append(st.solved_set[1:], np.setdiff1d(np.arange(60), st.solved_set)[0]))
+    for kwargs in ({}, {"r0": st.residual}, {"solved": st.solved_set},
+                   {"r0": st.residual, "solved": swapped}):
+        again = pdas_inner(op, inst.y, lam, st.x, st.d, st.solved_set, 10, cache, **kwargs)
+        assert (again.status, again.state.inner_iters, again.state.solves) == (FIXED_POINT, 1, 1)
+        for a, b in ((again.state.x, st.x), (again.state.d, st.d),
+                     (again.state.residual, st.residual)):
+            assert np.array_equal(a, b)
+
+
+def test_direct_path_never_solves_a_set_twice_in_a_row(monkeypatch):
+    calls = _spy_solves(monkeypatch)
+    for trial in range(3):
+        op = gen_gaussian_operator(100, 200, seed=90 + trial)
+        truth = gen_sparse_signal(200, 20, 10.0, seed=93 + trial)
+        inst = synthesize_instance(op, truth, 1e-2, seed=96 + trial)
+        calls.clear()
+        report = pdasc(op, inst.y, SolverConfig(N=100, J_max=5, eps_bar=inst.noise_level))
+        assert report.status == CONVERGED
+        assert {name for name, _ in calls} == {"solve_direct"}
+        sets = [s for _, s in calls]
+        assert all(a != b for a, b in zip(sets, sets[1:]))
+        # the records count the solves made, fewer than the iterations
+        assert sum(r.solves for r in report.records) == len(calls)
+        assert len(calls) < sum(r.inner_iters for r in report.records)
+
+
+def test_cg_path_solves_at_every_iteration(monkeypatch):
+    # a repeated CG solve continues the iteration, so CG paths skip nothing
+    calls = _spy_solves(monkeypatch)
+    op, inst, cfg = _dct_cg_case()
+    report = pdasc(op, inst.y, cfg)
+    assert report.status == CONVERGED
+    assert all(s == [] for name, s in calls if name == "solve_direct")
+    assert sum(name == "solve_cg" for name, _ in calls) > len(report.records)
+    assert (sum(r.solves for r in report.records) == sum(r.inner_iters for r in report.records)
+            == len(calls))
+
+
+def test_standalone_inner_call_builds_one_cache(monkeypatch):
+    built = []
+    init = GramCache.__init__
+
+    def spy(self, op, y):
+        built.append(op)
+        init(self, op, y)
+
+    monkeypatch.setattr(GramCache, "__init__", spy)
+    op, y = example1_pair(mu=-0.5)
+    res = pdas_inner(op, y, 0.5 * 0.3**2, np.zeros(2), np.zeros(2), [0], 6)
+    assert res.state.solves == 6 and built == [op]
+    cache = GramCache(op, y)
+    pdas_inner(op, y, 0.5 * 0.3**2, np.zeros(2), np.zeros(2), [0], 6, cache)
+    assert built == [op, op]   # the caller's cache only
+
+
+def test_pdasc_rejects_unnormalized_columns():
+    base = gen_gaussian_operator(20, 40, seed=42)
+    y = np.random.default_rng(43).standard_normal(20)
+    scaled = DenseOperator(base.mat * np.linspace(0.5, 2.0, 40))
+    custom = CustomOperator(20, 40, base.apply, base.adjoint_apply)
+    for op in (scaled, custom):
+        assert not op.columns_normalized
+        with pytest.raises(ValueError, match="columns_normalized"):
+            pdasc(op, y, SolverConfig(N=20, eps_bar=1e-3))
