@@ -3,6 +3,14 @@
 All methods take the target sparsity T as an input (unlike the continuation
 solver, which never sees it), consume the same operator/data pair, and emit
 the same SolveReport shape as the continuation solver.
+
+Each halts with status ``converged`` where its reference method does, or
+when the residual norm reaches ``tol``; a run cut by ``max_iters`` reports
+``max_iters``. OMP halts after T columns, HTP when its selected support
+repeats (Foucart 2011), IHT when its iterate stops moving (the adaptive
+policy, normalized IHT after Blumensath & Davies 2010, also when no step size
+it tries keeps the residual from growing), and CoSaMP when its pruned support
+equals the previous iterate's (Needell & Tropp 2009).
 """
 
 import math
@@ -76,7 +84,7 @@ def omp(op, y, config, truth=None):
         x[np.sort(support)] = sol.x_active
         dual = sol.dual
         res_norm = float(np.linalg.norm(sol.residual))
-        records.append(_record(it, x, res_norm, truth))
+        records.append(_record(it, np.flatnonzero(x), res_norm, truth))
         if res_norm <= config.tol:
             break
     status = CONVERGED if (len(support) == config.T or res_norm <= config.tol) else MAX_ITERS
@@ -104,7 +112,7 @@ def htp(op, y, config, truth=None, x0=None):
         d = sol.dual
         prev = selected
         res_norm = float(np.linalg.norm(sol.residual))
-        records.append(_record(it, x, res_norm, truth))
+        records.append(_record(it, np.flatnonzero(x), res_norm, truth))
         if res_norm <= config.tol:
             status = CONVERGED
             break
@@ -139,7 +147,7 @@ def iht(op, y, config, truth=None, x0=None):
         moved = not np.array_equal(proposal, x)
         x = proposal
         res_norm = float(np.linalg.norm(r))
-        records.append(_record(it, x, res_norm, truth, solves=0))
+        records.append(_record(it, np.flatnonzero(x), res_norm, truth, solves=0))
         if res_norm <= config.tol or not moved:
             status = CONVERGED
             break
@@ -165,36 +173,42 @@ def _adaptive_step(op, y, x, g, T, res_norm):
 
 
 def cosamp(op, y, config, truth=None):
-    """CoSaMP: merge the support with the top 2T of the dual, solve on the
-    merged set, prune to the T largest."""
+    """CoSaMP: merge the support with the top 2T of the proxy Psi^t r, solve
+    on the merged set, prune to the T largest.
+
+    Halts with status ``converged`` when the pruned support equals the
+    previous iterate's (Needell & Tropp 2009) or the residual norm reaches
+    ``tol``. The values on a repeated support still move, because the 2T
+    proxy columns merged in change every iteration.
+    """
     y = finite_vector("y", y)
     x = np.zeros(op.p)
+    support = np.zeros(0, dtype=np.intp)
     r = y.copy()
     limit = 50 if config.max_iters is None else config.max_iters
     records = []
     status = MAX_ITERS
     for it in range(1, limit + 1):
         proxy = op.adjoint_apply(r)
-        merged = np.union1d(np.flatnonzero(x), _top_indices(proxy, 2 * config.T))
+        merged = np.union1d(support, _top_indices(proxy, 2 * config.T))
         if merged.size > op.n:
             merged = _top_indices(proxy, op.n)  # keep the solve overdetermined
         sol = solve_direct(op, merged, y)
         z = np.zeros(op.p)
         z[merged] = sol.x_active
-        new_x = keep_largest(z, config.T)
-        r = y - op.apply(new_x)
-        unchanged = np.array_equal(new_x, x)
-        x = new_x
+        x = keep_largest(z, config.T)
+        prev, support = support, np.flatnonzero(x)
+        r = y - op.apply(x)
         res_norm = float(np.linalg.norm(r))
-        records.append(_record(it, x, res_norm, truth))
-        if res_norm <= config.tol or unchanged:
+        records.append(_record(it, support, res_norm, truth))
+        if res_norm <= config.tol or np.array_equal(support, prev):
             status = CONVERGED
             break
     return _report(x, records, status, "cosamp")
 
 
-def _record(it, x, res_norm, truth, solves=1):
-    return LambdaRecord.build(it, math.nan, np.flatnonzero(x), 1, res_norm, truth, solves)
+def _record(it, active, res_norm, truth, solves=1):
+    return LambdaRecord.build(it, math.nan, active, 1, res_norm, truth, solves)
 
 
 def _report(x, records, status, solver):

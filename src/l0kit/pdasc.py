@@ -305,10 +305,11 @@ class LambdaRecord:
     def build(cls, k, lam, active, inner_iters, residual_norm, truth=None, solves=0):
         """The record of one step from the residual norm the solver already
         has; with ``truth``, also the active set's overlap with its support.
-        ``solves`` is the number of restricted solves the step made."""
+        ``solves`` is the number of restricted solves the step made. Both
+        ``active`` and the true support are sets of distinct indices."""
         overlap = excess = None
         if truth is not None:
-            overlap = int(np.count_nonzero(np.isin(active, truth.support)))
+            overlap = int(np.intersect1d(active, truth.support, assume_unique=True).size)
             excess = int(active.size) - overlap
         return cls(k=k, lam=lam, active_size=int(active.size), inner_iters=inner_iters,
                    residual=residual_norm, overlap_true=overlap, excess_outside_true=excess,

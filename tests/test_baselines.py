@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import l0kit.baselines as baselines_module
-from l0kit import (DenseOperator, GreedyConfig, SolverConfig, cosamp, gen_gaussian_operator,
-                   gen_sparse_signal, htp, iht, keep_largest, mutual_coherence, omp,
-                   pdasc, solve_cg, solve_direct, synthesize_instance)
+from l0kit import (CONVERGED, DenseOperator, GreedyConfig, SolverConfig, cosamp,
+                   gen_gaussian_operator, gen_sparse_signal, htp, iht, keep_largest,
+                   mutual_coherence, omp, pdasc, solve_cg, solve_direct, synthesize_instance)
+from l0kit.pdasc import MAX_ITERS
 from conftest import orthonormal_operator, randomized_union_operator
 
 
@@ -188,6 +189,44 @@ def test_cosamp_prunes_to_t_every_iteration():
     inst = synthesize_instance(op, truth, 1e-3, seed=15)
     report = cosamp(op, inst.y, GreedyConfig(T=5, max_iters=20))
     assert all(r.active_size <= 5 for r in report.records)
+
+
+def _recovered_cosamp_instance():
+    # Gaussian 200x400, T=40, sigma=1e-3: recovered by iteration 4, after
+    # which equal-iterate halting would run on to the 50-iteration cap
+    op = gen_gaussian_operator(200, 400, seed=40)
+    truth = gen_sparse_signal(400, 40, 100.0, seed=41)
+    return op, truth, synthesize_instance(op, truth, 1e-3, seed=42)
+
+
+def test_cosamp_halts_once_recovered():
+    op, truth, inst = _recovered_cosamp_instance()
+    report = cosamp(op, inst.y, GreedyConfig(T=40), truth=truth)
+    assert report.status == CONVERGED
+    assert len(report.records) <= 10
+    assert np.array_equal(report.support_final, truth.support)
+    assert report.records[-1].overlap_true == 40
+
+
+def test_cosamp_halts_at_a_support_fixed_point():
+    op, truth, inst = _recovered_cosamp_instance()
+    report = cosamp(op, inst.y, GreedyConfig(T=40))
+    assert report.status == CONVERGED
+    # iterates are deterministic: a run cut one iteration earlier ends on the
+    # iterate before the halting one, and that has the same support
+    cut = cosamp(op, inst.y, GreedyConfig(T=40, max_iters=len(report.records) - 1))
+    assert cut.status == MAX_ITERS
+    assert [r.residual for r in cut.records] == [r.residual for r in report.records[:-1]]
+    assert np.array_equal(cut.support_final, report.support_final)
+    assert not np.array_equal(cut.x_final, report.x_final)
+
+
+def test_cosamp_cut_while_its_support_moves_reports_max_iters():
+    op, truth, inst = _recovered_cosamp_instance()
+    report = cosamp(op, inst.y, GreedyConfig(T=40, max_iters=1), truth=truth)
+    assert report.status == MAX_ITERS
+    assert len(report.records) == 1
+    assert report.records[0].overlap_true < 40
 
 
 def test_baselines_agree_with_continuation_on_certified_instances():

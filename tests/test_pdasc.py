@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from l0kit import (CAP_HIT, CONVERGED, FIXED_POINT, GRID_EXHAUSTED, SINGULAR_GRAM_ABORT,
-                   CustomOperator, DenseOperator, GramCache, PartialDctOperator,
+                   CustomOperator, DenseOperator, GramCache, LambdaRecord, PartialDctOperator,
                    SolverConfig, bruteforce_l0_min,
                    check_coordinatewise_min, continuation_grid, gen_gaussian_operator,
                    gen_partial_dct_operator, gen_sparse_signal, hard_threshold,
@@ -357,6 +357,21 @@ def test_pdasc_report_serialization():
     header = csv_text.splitlines()[0]
     assert header == "k,lambda,active_size,inner_iters,residual,overlap_true,excess_outside_true"
     assert len(csv_text.splitlines()) == len(report.records) + 1
+
+
+def test_record_overlap_counts_match_membership_counts():
+    p = 50
+    truth = gen_sparse_signal(p, 12, 3.0, seed=7)
+    outside = np.setdiff1d(np.arange(p), truth.support)
+    rng = np.random.default_rng(8)
+    actives = [np.zeros(0, dtype=np.intp), outside, truth.support, np.arange(p)]
+    actives += [np.sort(rng.choice(p, size=size, replace=False)) for size in (1, 5, 12, 30, 49)]
+    for active in actives:
+        rec = LambdaRecord.build(1, 1.0, active, 1, 0.0, truth)
+        overlap = int(np.count_nonzero(np.isin(active, truth.support)))
+        assert (rec.overlap_true, rec.excess_outside_true) == (overlap, active.size - overlap)
+    assert LambdaRecord.build(1, 1.0, outside, 1, 0.0, truth).overlap_true == 0
+    assert LambdaRecord.build(1, 1.0, np.arange(p), 1, 0.0, truth).overlap_true == 12
 
 
 class CountingOperator(DenseOperator):
