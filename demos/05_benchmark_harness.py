@@ -1,9 +1,10 @@
 """Drive the experiment harness: a recovery-probability sweep over sparsity
-levels, an active-set evolution trace, and a timing benchmark. The same
-configurations run through the `l0kit` CLI (see README)."""
+levels, the active-set evolution of one continuation run, and a timing table.
+The same configurations run through the `l0kit` CLI (see README): `sweep`
+prints the two tables, `solve` prints the per-step records."""
 
-from l0kit.harness import (ExperimentConfig, bench_table_csv, run_bench, run_sweep,
-                           run_trace, sweep_table_csv, trace_csv)
+from l0kit.harness import (ExperimentConfig, make_instance, records_csv, run_sweep,
+                           sweep_table_csv)
 
 sweep_config = ExperimentConfig.from_json({
     "matrix": {"kind": "gaussian", "n": 200, "p": 400},
@@ -18,7 +19,7 @@ print("=== recovery-probability sweep ===")
 result = run_sweep(sweep_config)
 print(sweep_table_csv(result["aggregates"]))
 
-print("=== active-set evolution trace (first instance) ===")
+print("=== active-set evolution (first instance, per-step records) ===")
 trace_config = ExperimentConfig.from_json({
     "matrix": {"kind": "gaussian", "n": 200, "p": 400},
     "signal": {"T": 40, "R": 100.0},
@@ -27,9 +28,11 @@ trace_config = ExperimentConfig.from_json({
     "seed": 99,
     "solvers": [{"name": "pdasc", "N": 80, "J_max": 5}],
 })
-print(trace_csv(run_trace(trace_config)))
+_, run = trace_config.runner(0)
+inst, _ = make_instance(trace_config, 40, trial=0)
+print(records_csv(run(inst)))
 
-print("=== timing benchmark ===")
+print("=== timing table (median time and errors per solver) ===")
 bench_config = ExperimentConfig.from_json({
     "matrix": {"kind": "gaussian", "n": 200, "p": 800},
     "signal": {"T": 60, "R": 1000.0},
@@ -39,4 +42,4 @@ bench_config = ExperimentConfig.from_json({
     "solvers": [{"name": "pdasc", "N": 50, "J_max": 1}, {"name": "omp"},
                 {"name": "htp"}, {"name": "cosamp"}],
 })
-print(bench_table_csv(run_bench(bench_config)["table"]))
+print(sweep_table_csv(run_sweep(bench_config)["aggregates"]))

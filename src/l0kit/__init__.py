@@ -9,7 +9,7 @@ brute-force oracles, and a seeded benchmark harness.
 
 from .baselines import GreedyConfig, cosamp, htp, iht, keep_largest, omp
 from .harness import (ConfigError, ExperimentConfig, MetricRow, abs_linf, exact_support,
-                      psnr, relative_l2, run_bench, run_sweep, run_trace)
+                      psnr, relative_l2, run_sweep)
 from .lsq import (GramCache, RestrictedLsqSolution, SingularGramError, solve_cg,
                   solve_direct)
 from .operators import (CustomOperator, DenseOperator, PartialDctOperator,

@@ -1,5 +1,6 @@
-"""Command-line driver for generation, solving, sweeps, traces, benchmarks and
-certification.
+"""Command-line driver. gen writes a configured instance; solve prints one
+solver's per-step records (the active set along the path); sweep prints the
+recovery, error and timing table; certify prints an instance's certificate.
 
 Exit codes: 0 success, 2 configuration error, 3 capacity error (an exact scan
 or enumeration beyond its size cap).
@@ -9,9 +10,8 @@ import argparse
 import json
 import sys
 
-from .harness import (ConfigError, ExperimentConfig, bench_table_csv, certify_instance,
-                      make_instance, run_bench, run_sweep, run_trace, rows_csv,
-                      sweep_table_csv, trace_csv)
+from .harness import (ConfigError, ExperimentConfig, certify_instance, make_instance,
+                      records_csv, rows_csv, run_sweep, sweep_table_csv)
 from .operators import save_operator_binary, save_operator_csv
 from .problem import instance_to_json, write_json
 from .theory import CapacityError
@@ -45,12 +45,6 @@ def build_parser():
     sweep = _add_command(sub, "sweep", "recovery-probability sweep over (T, solver, trial)")
     sweep.add_argument("--rows", help="also write the per-trial rows to this path")
     sweep.set_defaults(func=cmd_sweep)
-
-    trace = _add_command(sub, "trace", "active-set evolution of one continuation run")
-    trace.set_defaults(func=cmd_trace)
-
-    bench = _add_command(sub, "bench", "timing/error table over the configured solvers")
-    bench.set_defaults(func=cmd_bench)
 
     cert = _add_command(sub, "certify", "theory certificate for one configured instance")
     cert.add_argument("--rho", type=float, default=None)
@@ -107,7 +101,7 @@ def cmd_solve(args):
     report = run(inst)
     if args.format == "json":
         return _emit(json.dumps(report.to_json(), indent=2) + "\n", args)
-    return _emit(report.records_csv(), args)
+    return _emit(records_csv(report), args)
 
 
 def cmd_sweep(args):
@@ -119,22 +113,6 @@ def cmd_sweep(args):
     if args.format == "json":
         return _emit(json.dumps(result["aggregates"], indent=2) + "\n", args)
     return _emit(sweep_table_csv(result["aggregates"]), args)
-
-
-def cmd_trace(args):
-    config = _load_config(args)
-    report = run_trace(config)
-    if args.format == "json":
-        return _emit(json.dumps(report.to_json(), indent=2) + "\n", args)
-    return _emit(trace_csv(report), args)
-
-
-def cmd_bench(args):
-    config = _load_config(args)
-    result = run_bench(config)
-    if args.format == "json":
-        return _emit(json.dumps(result["table"], indent=2) + "\n", args)
-    return _emit(bench_table_csv(result["table"]), args)
 
 
 def cmd_certify(args):

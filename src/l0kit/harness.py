@@ -1,12 +1,13 @@
-"""Batch experiment driver: recovery-probability sweeps, active-set traces,
-timing benchmarks, and the error metrics they report."""
+"""Batch experiment driver: recovery-probability sweeps with their error and
+timing aggregates, the metrics they report, and the CSV writer for every table."""
 
 import csv
 import io
 import math
+import numbers
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -18,9 +19,8 @@ from .theory import certify
 
 __all__ = [
     "ConfigError", "ExperimentConfig", "MetricRow",
-    "run_sweep", "run_trace", "run_bench",
-    "psnr", "relative_l2", "abs_linf", "exact_support",
-    "sweep_table_csv", "bench_table_csv", "trace_csv", "rows_csv",
+    "run_sweep", "psnr", "relative_l2", "abs_linf", "exact_support",
+    "sweep_table_csv", "rows_csv", "records_csv",
 ]
 
 _MATRIX_GENERATORS = {
@@ -52,22 +52,34 @@ class ExperimentConfig:
     runners: list = field(init=False, repr=False, compare=False)  # (label, run) per entry
 
     def __post_init__(self):
+        _check_section("matrix", self.matrix)
+        _check_section("signal", self.signal)
         kind = self.matrix.get("kind")
         if kind not in _MATRIX_GENERATORS:
             raise ConfigError(f"unknown matrix kind {kind!r}")
         n, p = self.matrix.get("n"), self.matrix.get("p")
-        if not (isinstance(n, int) and isinstance(p, int) and 0 < n <= p):
+        if not (_is_int(n) and _is_int(p) and 0 < n <= p):
             raise ConfigError(f"matrix dims must satisfy 0 < n <= p, got n={n}, p={p}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not (_is_finite(self.sigma) and self.sigma >= 0):
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        R = self.signal.get("R", 1.0)
+        if not (_is_finite(R) and R >= 1):
+            raise ConfigError(f"signal R must be finite and >= 1, got {R!r}")
+        ts = self.signal.get("T_values", [self.signal.get("T")])
+        if not (isinstance(ts, list) and ts):
+            raise ConfigError(f"signal T_values must be a non-empty list, got {ts!r}")
+        for t in ts:
+            if not (_is_int(t) and 1 <= t <= n):
+                raise ConfigError(f"signal sparsity T={t!r} must be an integer in 1..n={n}")
         if not self.solvers:
             raise ConfigError("at least one solver entry is required")
+        # plain Python numbers, so an integer sigma still prints as a float in every table
+        self.sigma, self.trials, self.seed = float(self.sigma), int(self.trials), int(self.seed)
         self.runners = [_solver_runner(entry) for entry in self.solvers]  # bad ones fail here
-        for t in self.t_values():
-            if not 1 <= t <= n:
-                raise ConfigError(f"sparsity T={t} outside 1..n={n}")
 
     def runner(self, index):
         """The ``(label, run)`` pair of solver entry ``index``."""
@@ -76,11 +88,7 @@ class ExperimentConfig:
         return self.runners[index]
 
     def t_values(self):
-        if "T_values" in self.signal:
-            return [int(t) for t in self.signal["T_values"]]
-        if "T" not in self.signal:
-            raise ConfigError("signal needs a sparsity T or a T_values list")
-        return [int(self.signal["T"])]
+        return [int(t) for t in self.signal.get("T_values", [self.signal.get("T")])]
 
     @property
     def dynamic_range(self):
@@ -88,12 +96,36 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc):
+        _check_section("config", doc)
         try:
             return cls(matrix=doc["matrix"], signal=doc["signal"],
-                       sigma=float(doc.get("sigma", 0.0)), trials=int(doc.get("trials", 1)),
-                       seed=int(doc.get("seed", 0)), solvers=list(doc.get("solvers", [])))
+                       sigma=doc.get("sigma", 0.0), trials=doc.get("trials", 1),
+                       seed=doc.get("seed", 0), solvers=list(doc.get("solvers", [])))
         except (KeyError, TypeError) as err:
             raise ConfigError(f"bad experiment config: {err}") from None
+
+
+_KNOWN_KEYS = {
+    "config": {"matrix", "signal", "sigma", "trials", "seed", "solvers"},
+    "matrix": {"kind", "n", "p"},
+    "signal": {"T", "T_values", "R"},
+}
+
+
+def _check_section(name, section):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object, got {section!r}")
+    unknown = sorted(set(section) - _KNOWN_KEYS[name])
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {unknown}; known: {sorted(_KNOWN_KEYS[name])}")
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -237,43 +269,15 @@ def run_sweep(config, clock=time.perf_counter):
                 "solver": solver_id, "T": T, "R": config.dynamic_range,
                 "sigma": config.sigma, "trials": config.trials,
                 "recovery_prob": float(np.mean([r.exact_support for r in cell])),
-                "med_rel_l2": _median([r.rel_l2 for r in cell]),
-                "med_abs_linf": _median([r.abs_linf for r in cell]),
-                "med_time_s": _median([r.wall_time_s for r in cell]),
+                "med_rel_l2": float(np.median([r.rel_l2 for r in cell])),
+                "med_abs_linf": float(np.median([r.abs_linf for r in cell])),
+                "med_time_s": float(np.median([r.wall_time_s for r in cell])),
                 "n_error": statuses["error"], "status_counts": dict(statuses),
             })
     return {"rows": rows, "aggregates": aggregates}
 
 
-def run_trace(config, solver_index=0):
-    """Active-set evolution of a continuation run on the trial-0 instance:
-    per outer step, how much of the set is inside/outside the true support."""
-    _, run = config.runner(solver_index)
-    if config.solvers[solver_index].get("name") != "pdasc":
-        raise ConfigError("trace requires a pdasc solver entry")
-    inst, _ = make_instance(config, config.t_values()[0], 0)
-    return run(inst)
-
-
-def run_bench(config, clock=time.perf_counter):
-    """Median wall time and errors per solver, mirroring the sweep aggregates."""
-    result = run_sweep(config, clock=clock)
-    n, p = config.matrix["n"], config.matrix["p"]
-    table = [{
-        "solver": agg["solver"], "p": p, "n": n, "T": agg["T"], "R": agg["R"],
-        "med_time_s": agg["med_time_s"], "med_rel_l2": agg["med_rel_l2"],
-        "med_abs_linf": agg["med_abs_linf"],
-    } for agg in result["aggregates"]]
-    return {"rows": result["rows"], "table": table}
-
-
-def _median(values):
-    return float(np.median(values))
-
-
 def _format(value):
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return "" if value is None else str(value)
@@ -294,27 +298,14 @@ def sweep_table_csv(aggregates):
          "med_rel_l2", "med_abs_linf", "med_time_s"], aggregates)
 
 
-def bench_table_csv(table):
-    return _table_csv(
-        ["solver", "p", "n", "T", "R", "med_time_s", "med_rel_l2", "med_abs_linf"], table)
-
-
-def trace_csv(report):
-    dicts = [{"k": r.k, "lambda": r.lam, "in_true": r.overlap_true,
-              "out_true": r.excess_outside_true, "inner_iters": r.inner_iters,
-              "residual": r.residual} for r in report.records]
-    return _table_csv(["k", "lambda", "in_true", "out_true", "inner_iters", "residual"], dicts)
-
-
 def rows_csv(rows):
-    dicts = [{"solver": r.solver, "T": r.T, "R": r.R, "sigma": r.sigma,
-              "trial_seed": r.trial_seed, "wall_time_s": r.wall_time_s,
-              "rel_l2": r.rel_l2, "abs_linf": r.abs_linf,
-              "exact_support": r.exact_support, "psnr_db": r.psnr_db,
-              "status": r.status, "error": r.error} for r in rows]
-    return _table_csv(["solver", "T", "R", "sigma", "trial_seed", "wall_time_s",
-                       "rel_l2", "abs_linf", "exact_support", "psnr_db", "status", "error"],
-                      dicts)
+    return _table_csv([f.name for f in fields(MetricRow)], [asdict(r) for r in rows])
+
+
+def records_csv(report):
+    """Per-step records of a solve report, from the same dicts as its JSON."""
+    return _table_csv(["k", "lambda", "active_size", "inner_iters", "residual",
+                       "overlap_true", "excess_outside_true"], report.to_json()["records"])
 
 
 def certify_instance(config, trial=0, rho=None):

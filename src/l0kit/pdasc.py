@@ -12,7 +12,6 @@ repeating that solve. The skipped solve still counts as an inner iteration,
 so the path is bitwise that of the repeat (see ``pdas_inner``).
 """
 
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -342,15 +341,6 @@ class SolveReport:
                 for r in self.records
             ],
         }
-
-    def records_csv(self):
-        buf = io.StringIO()
-        buf.write("k,lambda,active_size,inner_iters,residual,overlap_true,excess_outside_true\n")
-        for r in self.records:
-            over = "" if r.overlap_true is None else str(r.overlap_true)
-            exc = "" if r.excess_outside_true is None else str(r.excess_outside_true)
-            buf.write(f"{r.k},{r.lam!r},{r.active_size},{r.inner_iters},{r.residual!r},{over},{exc}\n")
-        return buf.getvalue()
 
 
 def pdasc(op, y, config, truth=None):

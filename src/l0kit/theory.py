@@ -2,7 +2,6 @@
 certificates, the oracle solution, exhaustive l0 minimization, and numerical
 checkers for the one-step primal-dual estimates."""
 
-import io
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -215,13 +214,6 @@ class BoundReport:
 
     def all_passed(self, tol=0.0):
         return self.applicable and all(c.margin >= -tol for c in self.checks)
-
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write("name,lhs,rhs,margin,pass\n")
-        for c in self.checks:
-            buf.write(f"{c.name},{c.lhs!r},{c.rhs!r},{c.margin!r},{c.passed}\n")
-        return buf.getvalue()
 
 
 def check_onestep_bounds_mip(op, instance, active, coherence=None, tol=0.0):

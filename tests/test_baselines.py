@@ -5,6 +5,7 @@ import l0kit.baselines as baselines_module
 from l0kit import (CONVERGED, DenseOperator, GreedyConfig, SolverConfig, cosamp,
                    gen_gaussian_operator, gen_sparse_signal, htp, iht, keep_largest,
                    mutual_coherence, omp, pdasc, solve_cg, solve_direct, synthesize_instance)
+from l0kit.harness import records_csv
 from l0kit.pdasc import MAX_ITERS
 from conftest import orthonormal_operator, randomized_union_operator
 
@@ -250,7 +251,7 @@ def test_solve_reports_share_shape():
     assert doc["solver"] == "omp"
     assert {"k", "lambda", "active_size", "inner_iters", "residual",
             "overlap_true", "excess_outside_true"} <= set(doc["records"][0])
-    csv_text = report.records_csv()
+    csv_text = records_csv(report)
     assert csv_text.startswith("k,lambda,active_size,inner_iters,residual")
 
 

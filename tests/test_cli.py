@@ -1,12 +1,13 @@
 import json
+import math
 
 import pytest
 
 from l0kit.cli import main
+from l0kit.harness import ConfigError, ExperimentConfig
 
 
-@pytest.fixture
-def config_path(tmp_path):
+def config_doc(**overrides):
     doc = {
         "matrix": {"kind": "gaussian", "n": 24, "p": 48},
         "signal": {"T": 3, "R": 5.0},
@@ -15,8 +16,14 @@ def config_path(tmp_path):
         "seed": 9,
         "solvers": [{"name": "pdasc", "N": 50, "J_max": 3}, {"name": "omp"}],
     }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.fixture
+def config_path(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(config_doc()))
     return path
 
 
@@ -48,14 +55,19 @@ def test_solve_and_trace_and_bench(config_path, tmp_path):
     assert doc["solver"] == "pdasc" and doc["records"]
     assert all(0 <= r["solves"] <= r["inner_iters"] for r in doc["records"])
 
+    # the active-set evolution is the solve CSV; the timing table is the sweep's
     trace_out = tmp_path / "trace.csv"
-    assert main(["trace", "--config", str(config_path), "--out", str(trace_out)]) == 0
-    assert trace_out.read_text().splitlines()[0] == "k,lambda,in_true,out_true,inner_iters,residual"
+    assert main(["solve", "--config", str(config_path), "--out", str(trace_out)]) == 0
+    lines = trace_out.read_text().splitlines()
+    assert lines[0] == "k,lambda,active_size,inner_iters,residual,overlap_true,excess_outside_true"
+    assert len(lines) == len(doc["records"]) + 1
 
-    bench_out = tmp_path / "bench.csv"
-    assert main(["bench", "--config", str(config_path), "--out", str(bench_out)]) == 0
-    assert bench_out.read_text().splitlines()[0] == \
-        "solver,p,n,T,R,med_time_s,med_rel_l2,med_abs_linf"
+    bench_out = tmp_path / "bench.json"
+    assert main(["sweep", "--config", str(config_path), "--out", str(bench_out),
+                 "--format", "json"]) == 0
+    table = json.loads(bench_out.read_text())
+    assert [row["solver"] for row in table] == ["pdasc(50,3)", "omp"]
+    assert all({"med_time_s", "med_rel_l2", "med_abs_linf"} <= set(row) for row in table)
 
 
 def test_gen_writes_operator_and_instance(config_path, tmp_path):
@@ -85,9 +97,9 @@ def test_certify_reports_conditions(config_path, tmp_path):
 
 def test_seed_override_changes_output(config_path, tmp_path):
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
-    assert main(["trace", "--config", str(config_path), "--out", str(a), "--seed", "1"]) == 0
-    assert main(["trace", "--config", str(config_path), "--out", str(b), "--seed", "2"]) == 0
-    assert main(["trace", "--config", str(config_path), "--out", str(c), "--seed", "1"]) == 0
+    assert main(["solve", "--config", str(config_path), "--out", str(a), "--seed", "1"]) == 0
+    assert main(["solve", "--config", str(config_path), "--out", str(b), "--seed", "2"]) == 0
+    assert main(["solve", "--config", str(config_path), "--out", str(c), "--seed", "1"]) == 0
     assert a.read_text() == c.read_text()
     assert a.read_text() != b.read_text()
 
@@ -103,6 +115,31 @@ def test_config_error_exit_code(tmp_path):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
     assert main(["sweep", "--config", str(garbage)]) == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve", "certify"])
+@pytest.mark.parametrize("overrides", [
+    {"sigma": math.nan},
+    {"sigma": math.inf},
+    {"signal": {"T": 3, "R": math.inf}},
+    {"signal": {"T": 2.5, "R": 5.0}},
+    {"signal": {"T_values": [], "R": 5.0}},
+    {"signal": {"R": 5.0}},
+    {"matrix": [1, 2]},
+    {"trials": 1.5},
+    {"seed": -1},
+], ids=["sigma-nan", "sigma-inf", "R-inf", "T-2.5", "T_values-empty", "T-missing",
+        "matrix-list", "trials-1.5", "seed-negative"])
+def test_bad_config_value_is_a_config_error(tmp_path, capsys, overrides, command):
+    doc = config_doc(**overrides)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 from dataclasses import asdict
@@ -6,10 +8,9 @@ import numpy as np
 import pytest
 
 import l0kit.harness as harness_module
-from l0kit import psnr, relative_l2, abs_linf, exact_support
-from l0kit.harness import (ConfigError, ExperimentConfig, bench_table_csv, make_instance,
-                           run_bench, run_sweep, run_trace, rows_csv, sweep_table_csv,
-                           trace_csv)
+from l0kit import SolverConfig, pdasc, psnr, relative_l2, abs_linf, exact_support
+from l0kit.harness import (ConfigError, ExperimentConfig, make_instance, records_csv,
+                           run_sweep, rows_csv, sweep_table_csv)
 
 
 def small_config(**overrides):
@@ -80,6 +81,15 @@ def test_config_validation():
         small_config(solvers=[{"name": "pdasc", "bogus_knob": 3}])
     with pytest.raises(ConfigError):
         small_config(solvers=[{"name": "unknown_solver"}])
+
+
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match="trails"):
+        small_config(trails=20)
+    with pytest.raises(ConfigError, match=r"signal keys \['r'\]"):
+        small_config(signal={"T": 3, "r": 100})
+    with pytest.raises(ConfigError, match=r"matrix keys \['P', 'seed'\]"):
+        small_config(matrix={"kind": "gaussian", "n": 30, "p": 60, "P": 60, "seed": 1})
 
 
 def test_make_instance_is_deterministic():
@@ -226,14 +236,13 @@ def test_config_parses_each_entry_once_outside_repr_and_compare():
         make_instance(config, 4, trial=-1)
 
 
-# ------------------------------------------------------------------------ trace
+# ------------------------------------------------ active-set records of a solve
 
-def test_trace_requires_continuation_solver():
-    config = small_config(solvers=[{"name": "omp"}])
-    with pytest.raises(ConfigError):
-        run_trace(config)
-    with pytest.raises(ConfigError):
-        run_trace(config, solver_index=1)
+def solve_first_trial(config):
+    """What ``l0kit solve`` runs by default: solver entry 0 on trial 0."""
+    _, run = config.runner(0)
+    inst, _ = make_instance(config, config.t_values()[0], 0)
+    return run(inst)
 
 
 def test_trace_columns_and_noiseless_certified_run():
@@ -245,9 +254,10 @@ def test_trace_columns_and_noiseless_certified_run():
         "seed": 11,
         "solvers": [{"name": "pdasc", "N": 80, "J_max": 5}],
     })
-    report = run_trace(config)
-    text = trace_csv(report)
-    assert text.splitlines()[0] == "k,lambda,in_true,out_true,inner_iters,residual"
+    report = solve_first_trial(config)
+    text = records_csv(report)
+    assert text.splitlines()[0] == \
+        "k,lambda,active_size,inner_iters,residual,overlap_true,excess_outside_true"
     # coherence is comfortably below 1/3 at this size, so the active set stays
     # inside the true support along the whole path
     assert all(r.excess_outside_true == 0 for r in report.records)
@@ -263,11 +273,39 @@ def test_trace_trivial_zero_data():
         "seed": 2,
         "solvers": [{"name": "pdasc", "N": 30, "J_max": 2, "eps_bar": 1e9}],
     })
-    report = run_trace(config)
+    report = solve_first_trial(config)
     assert len(report.records) == 1  # discrepancy met at the first lambda
 
 
-# ------------------------------------------------------------------------ bench
+def _cell(value):
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def test_records_csv_cells_are_the_json_records():
+    config = small_config(solvers=[
+        {"name": "pdasc", "N": 60, "J_max": 3},
+        {"name": "pdasc", "N": 60, "J_max": 3, "lsq_mode": "cg"},
+        {"name": "omp"}, {"name": "aiht"}])
+    inst, _ = make_instance(config, 4, trial=0)
+    reports = [run(inst) for _, run in config.runners]
+    reports.append(pdasc(inst.operator, inst.y, SolverConfig(eps_bar=inst.noise_level)))
+    tables = []
+    for report in reports:
+        records = report.to_json()["records"]
+        rows = list(csv.DictReader(io.StringIO(records_csv(report))))
+        assert len(rows) == len(records) > 0
+        for row, rec in zip(rows, records):
+            assert row == {key: _cell(value) for key, value in rec.items() if key != "solves"}
+        tables.append(rows)
+    assert all(row["overlap_true"] != "" for rows in tables[:4] for row in rows)
+    assert all(row["lambda"] == "nan" for row in tables[3])  # aiht has no lambda path
+    # without truth the overlap cells are empty
+    assert all(row["overlap_true"] == row["excess_outside_true"] == "" for row in tables[4])
+
+
+# ----------------------------------------------------- timing table of a sweep
 
 def test_bench_coarser_continuation_is_cheaper():
     # the same instances solved with a 2x finer grid and 5x inner budget cost
@@ -281,7 +319,7 @@ def test_bench_coarser_continuation_is_cheaper():
         "solvers": [{"name": "pdasc", "N": 50, "J_max": 1, "label": "coarse"},
                     {"name": "pdasc", "N": 100, "J_max": 5, "label": "fine"}],
     })
-    table = {row["solver"]: row for row in run_bench(config)["table"]}
+    table = {row["solver"]: row for row in run_sweep(config)["aggregates"]}
     assert table["coarse"]["med_time_s"] < table["fine"]["med_time_s"]
     assert table["coarse"]["med_rel_l2"] < 1e-2  # both recover; coarse is enough
 
@@ -296,9 +334,10 @@ def test_bench_table_shape_and_speed_on_trivial_instance():
         "solvers": [{"name": "pdasc", "N": 40, "J_max": 2}, {"name": "omp"},
                     {"name": "htp"}, {"name": "cosamp"}, {"name": "aiht"}],
     })
-    result = run_bench(config)
-    text = bench_table_csv(result["table"])
-    assert text.splitlines()[0] == "solver,p,n,T,R,med_time_s,med_rel_l2,med_abs_linf"
-    assert len(result["table"]) == 5
-    assert all(row["med_time_s"] < 1.0 for row in result["table"])
-    assert all(row["med_rel_l2"] <= 1e-8 for row in result["table"])
+    table = run_sweep(config)["aggregates"]
+    text = sweep_table_csv(table)
+    assert text.splitlines()[0] == \
+        "solver,T,R,sigma,trials,recovery_prob,med_rel_l2,med_abs_linf,med_time_s"
+    assert len(table) == 5
+    assert all(row["med_time_s"] < 1.0 for row in table)
+    assert all(row["med_rel_l2"] <= 1e-8 for row in table)

@@ -9,6 +9,7 @@ from l0kit import (CAP_HIT, CONVERGED, FIXED_POINT, GRID_EXHAUSTED, SINGULAR_GRA
                    check_coordinatewise_min, continuation_grid, gen_gaussian_operator,
                    gen_partial_dct_operator, gen_sparse_signal, hard_threshold,
                    objective, oracle_solution, pdas_inner, pdasc, synthesize_instance)
+from l0kit.harness import records_csv
 from conftest import example1_pair, orthonormal_operator
 
 
@@ -353,7 +354,7 @@ def test_pdasc_report_serialization():
     assert doc["status"] == report.status
     assert len(doc["records"]) == len(report.records)
     assert [r["solves"] for r in doc["records"]] == [r.solves for r in report.records]
-    csv_text = report.records_csv()
+    csv_text = records_csv(report)
     header = csv_text.splitlines()[0]
     assert header == "k,lambda,active_size,inner_iters,residual,overlap_true,excess_outside_true"
     assert len(csv_text.splitlines()) == len(report.records) + 1

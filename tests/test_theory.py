@@ -274,16 +274,6 @@ def test_onestep_mip_gate():
     assert not check_onestep_bounds_mip(op3, inst3, [0], coherence=0.8).applicable
 
 
-def test_onestep_mip_report_csv():
-    op = randomized_union_operator(16, np.random.default_rng(27))
-    truth = gen_sparse_signal(32, 3, 2.0, seed=28)
-    inst = synthesize_instance(op, truth, 1e-3, seed=29)
-    rep = check_onestep_bounds_mip(op, inst, truth.support[:1])
-    text = rep.to_csv()
-    assert text.splitlines()[0] == "name,lhs,rhs,margin,pass"
-    assert len(text.splitlines()) == len(rep.checks) + 1
-
-
 def test_onestep_rip_cases():
     applicable = 0
     for seed in range(8):
