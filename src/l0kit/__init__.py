@@ -7,15 +7,15 @@ greedy baselines (OMP, HTP, IHT, CoSaMP), recovery-theory certificates with
 brute-force oracles, and a seeded benchmark harness.
 """
 
-from .baselines import GreedyConfig, cosamp, htp, iht, keep_largest, omp
+from .baselines import GreedyConfig, cosamp, htp, iht, omp
 from .harness import (ConfigError, ExperimentConfig, MetricRow, abs_linf, exact_support,
                       psnr, relative_l2, run_sweep)
 from .lsq import (GramCache, RestrictedLsqSolution, SingularGramError, solve_cg,
                   solve_direct)
 from .operators import (CustomOperator, DenseOperator, PartialDctOperator,
                         SensingOperator, gen_bernoulli_operator, gen_gaussian_operator,
-                        gen_partial_dct_operator, load_operator_binary,
-                        load_operator_csv, save_operator_binary, save_operator_csv)
+                        gen_partial_dct_operator, load_operator_binary, save_operator_binary,
+                        save_operator_csv)
 from .pdasc import (CAP_HIT, CONVERGED, FIXED_POINT, GRID_EXHAUSTED, SINGULAR_GRAM_ABORT,
                     InnerResult, LambdaRecord, SolveReport, SolverConfig, SolverState,
                     check_coordinatewise_min, continuation_grid, hard_threshold,

@@ -5,43 +5,36 @@ solver, which never sees it), consume the same operator/data pair, and emit
 the same SolveReport shape as the continuation solver.
 
 Each halts with status ``converged`` where its reference method does, or
-when the residual norm reaches ``tol``; a run cut by ``max_iters`` reports
-``max_iters``. OMP halts after T columns, HTP when its selected support
-repeats (Foucart 2011), IHT when its iterate stops moving (the adaptive
-policy, normalized IHT after Blumensath & Davies 2010, also when no step size
-it tries keeps the residual from growing), and CoSaMP when its pruned support
-equals the previous iterate's (Needell & Tropp 2009).
+when the residual vanishes; a run cut by ``max_iters`` reports ``max_iters``.
+OMP halts after T columns, HTP when its selected support repeats (Foucart
+2011), IHT when its iterate stops moving (the adaptive policy, normalized IHT
+after Blumensath & Davies 2010, also when no step size it tries keeps the
+residual from growing), and CoSaMP when its pruned support equals the
+previous iterate's (Needell & Tropp 2009). HTP and fixed-step IHT take the
+unit step x + d, which assumes unit-norm columns.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lsq import GramCache, finite_vector, solve_direct
-from .pdasc import (CONVERGED, MAX_ITERS, LambdaRecord, SolveReport, check_count,
-                    check_nonnegative)
+from .pdasc import CONVERGED, MAX_ITERS, LambdaRecord, SolveReport, check_count
 
-__all__ = ["GreedyConfig", "omp", "htp", "iht", "cosamp", "keep_largest"]
+__all__ = ["GreedyConfig", "omp", "htp", "iht", "cosamp"]
 
 
 @dataclass
 class GreedyConfig:
     T: int
     max_iters: int | None = None   # per-method default when None
-    tol: float = 0.0               # residual level that counts as converged
-    step_size: float = 1.0         # IHT/HTP merit step
     step_policy: str = "fixed"     # IHT: "fixed" | "adaptive"
 
     def __post_init__(self):
         check_count("T", self.T)
         if self.max_iters is not None:
             check_count("max_iters", self.max_iters)
-        check_nonnegative("tol", self.tol)
-        if not (isinstance(self.step_size, numbers.Real) and math.isfinite(self.step_size)
-                and self.step_size > 0):
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size!r}")
         if self.step_policy not in ("fixed", "adaptive"):
             raise ValueError(f"unknown step policy {self.step_policy!r}")
 
@@ -64,7 +57,7 @@ def _top_indices(v, T):
 
 def omp(op, y, config, truth=None):
     """Orthogonal matching pursuit: grow the support by the best-correlated
-    column, re-solve, repeat T times (or stop early at the residual tolerance)."""
+    column, re-solve, repeat T times (or stop early once the residual vanishes)."""
     if config.T > op.n:
         raise ValueError(f"OMP needs T <= n, got T={config.T} > n={op.n}")
     cache = GramCache(op, y)   # the support only grows: every column is reused
@@ -85,24 +78,24 @@ def omp(op, y, config, truth=None):
         dual = sol.dual
         res_norm = float(np.linalg.norm(sol.residual))
         records.append(_record(it, np.flatnonzero(x), res_norm, truth))
-        if res_norm <= config.tol:
+        if res_norm == 0.0:
             break
-    status = CONVERGED if (len(support) == config.T or res_norm <= config.tol) else MAX_ITERS
+    status = CONVERGED if (len(support) == config.T or res_norm == 0.0) else MAX_ITERS
     return _report(x, records, status, "omp")
 
 
-def htp(op, y, config, truth=None, x0=None):
-    """Hard thresholding pursuit: select the T largest of |x + mu d|, solve on
-    that set, repeat until the selection is a fixed point."""
+def htp(op, y, config, truth=None):
+    """Hard thresholding pursuit: select the T largest of |x + d|, solve on
+    that set, repeat until the selection is a fixed point. Starts at x = 0."""
     y = finite_vector("y", y)
-    x = np.zeros(op.p) if x0 is None else finite_vector("x0", x0).copy()
+    x = np.zeros(op.p)
     limit = 50 if config.max_iters is None else config.max_iters
     prev = None
     records = []
     status = MAX_ITERS
     d = op.dual(y, x)   # afterwards each solve returns the dual of its solution
     for it in range(1, limit + 1):
-        selected = _top_indices(x + config.step_size * d, config.T)
+        selected = _top_indices(x + d, config.T)
         if prev is not None and np.array_equal(selected, prev):
             status = CONVERGED
             break
@@ -113,22 +106,26 @@ def htp(op, y, config, truth=None, x0=None):
         prev = selected
         res_norm = float(np.linalg.norm(sol.residual))
         records.append(_record(it, np.flatnonzero(x), res_norm, truth))
-        if res_norm <= config.tol:
+        if res_norm == 0.0:
             status = CONVERGED
             break
     return _report(x, records, status, "htp")
 
 
-def iht(op, y, config, truth=None, x0=None):
-    """Iterative hard thresholding: x <- keep_largest(x + mu d, T).
+def iht(op, y, config, truth=None):
+    """Iterative hard thresholding from x = 0: x <- keep_largest(x + mu d, T).
 
-    The fixed policy uses mu = step_size (1 works for normalized columns); the
-    adaptive policy picks the steepest-descent step on the current support and
-    halves it until the residual does not increase, so accepted steps never
-    push the residual up.
+    The fixed policy uses mu = 1, which assumes unit-norm columns, so an
+    operator with ``columns_normalized`` False is rejected; the adaptive
+    policy picks the steepest-descent step on the current support and halves
+    it until the residual does not increase, so accepted steps never push the
+    residual up.
     """
     y = finite_vector("y", y)
-    x = np.zeros(op.p) if x0 is None else finite_vector("x0", x0).copy()
+    if config.step_policy == "fixed" and not op.columns_normalized:
+        raise ValueError("fixed-step iht needs unit-norm columns, but the operator has "
+                         "columns_normalized=False")
+    x = np.zeros(op.p)
     limit = 100 if config.max_iters is None else config.max_iters
     records = []
     status = MAX_ITERS
@@ -137,7 +134,7 @@ def iht(op, y, config, truth=None, x0=None):
     for it in range(1, limit + 1):
         g = op.adjoint_apply(r)
         if config.step_policy == "fixed":
-            proposal = keep_largest(x + config.step_size * g, config.T)
+            proposal = keep_largest(x + g, config.T)
             r = y - op.apply(proposal)
         else:
             proposal, r = _adaptive_step(op, y, x, g, config.T, res_norm)
@@ -148,7 +145,7 @@ def iht(op, y, config, truth=None, x0=None):
         x = proposal
         res_norm = float(np.linalg.norm(r))
         records.append(_record(it, np.flatnonzero(x), res_norm, truth, solves=0))
-        if res_norm <= config.tol or not moved:
+        if res_norm == 0.0 or not moved:
             status = CONVERGED
             break
     return _report(x, records, status, "iht" if config.step_policy == "fixed" else "aiht")
@@ -177,9 +174,9 @@ def cosamp(op, y, config, truth=None):
     on the merged set, prune to the T largest.
 
     Halts with status ``converged`` when the pruned support equals the
-    previous iterate's (Needell & Tropp 2009) or the residual norm reaches
-    ``tol``. The values on a repeated support still move, because the 2T
-    proxy columns merged in change every iteration.
+    previous iterate's (Needell & Tropp 2009) or the residual vanishes. The
+    values on a repeated support still move, because the 2T proxy columns
+    merged in change every iteration.
     """
     y = finite_vector("y", y)
     x = np.zeros(op.p)
@@ -201,7 +198,7 @@ def cosamp(op, y, config, truth=None):
         r = y - op.apply(x)
         res_norm = float(np.linalg.norm(r))
         records.append(_record(it, support, res_norm, truth))
-        if res_norm <= config.tol or np.array_equal(support, prev):
+        if res_norm == 0.0 or np.array_equal(support, prev):
             status = CONVERGED
             break
     return _report(x, records, status, "cosamp")

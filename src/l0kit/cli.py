@@ -10,8 +10,8 @@ import argparse
 import json
 import sys
 
-from .harness import (ConfigError, ExperimentConfig, certify_instance, make_instance,
-                      records_csv, rows_csv, run_sweep, sweep_table_csv)
+from .harness import (ExperimentConfig, certify_instance, make_instance, records_csv,
+                      rows_csv, run_sweep, sweep_table_csv)
 from .operators import save_operator_binary, save_operator_csv
 from .problem import instance_to_json, write_json
 from .theory import CapacityError
@@ -22,7 +22,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OSError) as err:   # ConfigError and bad JSON included
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except CapacityError as err:
@@ -66,10 +66,11 @@ def _add_command(sub, name, help_text):
 def _load_config(args, need_solvers=True):
     with open(args.config) as fh:
         doc = json.load(fh)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if not need_solvers:
-        doc.setdefault("solvers", [{"name": "pdasc"}])
+    if isinstance(doc, dict):   # from_json refuses anything else
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        if not need_solvers:
+            doc.setdefault("solvers", [{"name": "pdasc"}])
     return ExperimentConfig.from_json(doc)
 
 

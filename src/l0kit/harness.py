@@ -79,7 +79,7 @@ class ExperimentConfig:
             raise ConfigError("at least one solver entry is required")
         # plain Python numbers, so an integer sigma still prints as a float in every table
         self.sigma, self.trials, self.seed = float(self.sigma), int(self.trials), int(self.seed)
-        self.runners = [_solver_runner(entry) for entry in self.solvers]  # bad ones fail here
+        self.runners = [_solver_runner(entry, n) for entry in self.solvers]  # bad ones fail here
 
     def runner(self, index):
         """The ``(label, run)`` pair of solver entry ``index``."""
@@ -184,12 +184,13 @@ def make_instance(config, T, trial):
     return inst, run_seed
 
 
-def _solver_runner(spec):
+def _solver_runner(spec, n):
     """Turn one solver entry of the config into (label, callable(instance) -> report).
 
-    The solver config is built and validated once; per instance the callable
-    only fills in the field the entry leaves to the instance. Solvers are
-    looked up on their modules at call time, so rebinding them takes effect."""
+    The solver config is built and validated once, a greedy entry's own T
+    against the row count n; per instance the callable only fills in the
+    field the entry leaves to the instance. Solvers are looked up on their
+    modules at call time, so rebinding them takes effect."""
     spec = dict(spec)
     name = spec.pop("name", None)
     if name == "pdasc":
@@ -217,6 +218,8 @@ def _solver_runner(spec):
     if name == "aiht":
         spec.setdefault("step_policy", "adaptive")
     T = spec.pop("T", None)
+    if not (T is None or (_is_int(T) and 1 <= T <= n)):
+        raise ConfigError(f"{name} entry sparsity T={T!r} must be an integer in 1..n={n}")
     try:
         cfg = baselines.GreedyConfig(T=1 if T is None else T, **spec)
     except (TypeError, ValueError) as err:

@@ -177,12 +177,12 @@ def solve_direct(op, active, y, cache=None):
     return _cache_for(op, y, cache)._solve(_as_index_set(active, op.p))
 
 
-def solve_cg(op, active, y, warm_start=None, noise_level=0.0, max_iters=2, tol_factor=1e-5,
-             cache=None, start=None):
+def solve_cg(op, active, y, noise_level=0.0, max_iters=2, tol_factor=1e-5, cache=None,
+             start=None):
     """Conjugate gradients on the normal equations over the active set.
 
-    Starts from ``warm_start`` (values on A; zero when omitted) or from a full
-    iterate ``start = (x, r, d)`` with r = y - Psi x and d = Psi^t r, and stops
+    Starts from a full iterate ``start = (x, r, d)`` with r = y - Psi x and
+    d = Psi^t r, or from x = 0 (r = y, d = Psi^t y) when omitted, and stops
     when the normal-equation residual drops to ``tol_factor * noise_level`` or
     after ``max_iters`` iterations, whichever comes first. Bounded iterations
     are by design, so hitting the cap is not an error.
@@ -190,29 +190,17 @@ def solve_cg(op, active, y, warm_start=None, noise_level=0.0, max_iters=2, tol_f
     The returned residual and dual are carried by recurrence, not recomputed:
     each direction p costs one apply u = Psi p and one adjoint g = Psi^t u,
     and the step alpha updates r -= alpha u and d -= alpha g along with z, so
-    d[A] is the CG gradient. Without ``start`` the solve first builds it from
-    the warm start with one apply and one adjoint. When x has entries off A,
-    the solve first drops them: u0 = Psi x_off is added to r and Psi^t u0 to
-    d (one more apply/adjoint pair). CG fetches no columns; a ``cache`` only
-    has to match (op, y).
+    d[A] is the CG gradient. When x has entries off A, the solve first drops
+    them: u0 = Psi x_off is added to r and Psi^t u0 to d (one more
+    apply/adjoint pair). CG fetches no columns; a ``cache`` only has to match
+    (op, y).
     """
     active = _as_index_set(active, op.p)
     cache = _cache_for(op, y, cache)
     y = cache.y
     if active.size == 0:
         raise ValueError("CG solve needs a nonempty active set")
-    if start is None:
-        x = np.zeros(op.p)
-        if warm_start is not None:
-            w = finite_vector("warm_start", warm_start)
-            if w.shape != (active.size,):
-                raise ValueError(f"warm start shape {w.shape} does not match |A| = {active.size}")
-            x[active] = w
-        r = y - op.apply(x)
-        start = (x, r, op.adjoint_apply(r))
-    elif warm_start is not None:
-        raise ValueError("give warm_start or start, not both")
-    x, r, d = start
+    x, r, d = (np.zeros(op.p), y, cache.aty) if start is None else start
     if x.shape != (op.p,) or r.shape != (op.n,) or d.shape != (op.p,):
         raise ValueError("start must be (x, r, d) of shapes (p,), (n,), (p,)")
     z = x[active]

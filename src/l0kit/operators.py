@@ -16,7 +16,6 @@ __all__ = [
     "save_operator_binary",
     "load_operator_binary",
     "save_operator_csv",
-    "load_operator_csv",
 ]
 
 _MAGIC = b"L0OP"
@@ -166,17 +165,13 @@ class PartialDctOperator(SensingOperator):
 
 
 class CustomOperator(SensingOperator):
-    """Sensing operator from user-supplied apply/adjoint callables.
+    """Sensing operator from user-supplied apply/adjoint callables; a column
+    is the apply of a basis vector."""
 
-    ``column_fn`` is optional; columns default to apply on basis vectors.
-    """
-
-    def __init__(self, n, p, apply_fn, adjoint_fn, column_fn=None,
-                 columns_normalized=False):
+    def __init__(self, n, p, apply_fn, adjoint_fn, columns_normalized=False):
         super().__init__(n, p, columns_normalized)
         self._apply_fn = apply_fn
         self._adjoint_fn = adjoint_fn
-        self._column_fn = column_fn
 
     def apply(self, x):
         return np.asarray(self._apply_fn(self._check_apply_dim(x)), dtype=float)
@@ -185,8 +180,6 @@ class CustomOperator(SensingOperator):
         return np.asarray(self._adjoint_fn(self._check_adjoint_dim(r)), dtype=float)
 
     def column(self, i):
-        if self._column_fn is not None:
-            return np.asarray(self._column_fn(int(i)), dtype=float)
         e = np.zeros(self.p)
         e[i] = 1.0
         return self.apply(e)
@@ -250,7 +243,3 @@ def load_operator_binary(path):
 
 def save_operator_csv(op, path):
     np.savetxt(path, op.dense(), delimiter=",")
-
-
-def load_operator_csv(path):
-    return DenseOperator(np.atleast_2d(np.loadtxt(path, delimiter=",")))

@@ -122,48 +122,33 @@ def check_nonnegative(name, value):
 class SolverConfig:
     """Continuation-solver knobs.
 
-    lam0 defaults to 0.5 ||Psi^t y||_inf^2 (which makes x = 0 the exact
-    minimizer at the head of the path) and lam_min to 1e-15 lam0; both are
-    resolved against the data at solve time when left unset. eps_bar is the
-    discrepancy level the residual is driven to; it must be supplied (there is
-    no estimation heuristic).
+    The grid runs from lam0 = 0.5 ||Psi^t y||_inf^2, which makes x = 0 the
+    exact minimizer at the head of the path, down to 1e-15 lam0 in N steps.
+    eps_bar is the discrepancy level the residual is driven to; it must be
+    supplied (there is no estimation heuristic). CG mode runs ``solve_cg``
+    with its default iteration cap and tolerance factor.
     """
 
-    lam0: float | None = None
-    lam_min: float | None = None
     N: int = 100
     J_max: int = 5
     eps_bar: float | None = None
     lsq_mode: str = "direct"   # "direct" | "cg"
-    cg_max_iters: int = 2
-    cg_tol_factor: float = 1e-5
 
     def __post_init__(self):
-        for name in ("N", "J_max", "cg_max_iters"):
+        for name in ("N", "J_max"):
             check_count(name, getattr(self, name))
         if self.eps_bar is not None:
             check_nonnegative("eps_bar", self.eps_bar)
-        check_nonnegative("cg_tol_factor", self.cg_tol_factor)
         if self.lsq_mode not in ("direct", "cg"):
             raise ValueError(f"unknown lsq mode {self.lsq_mode!r}")
 
     def resolve_grid(self, op, y, aty=None):
         """The lambda grid and its ratio; ``aty`` is Psi^t y when the caller has it."""
-        lam0 = self.lam0
-        if lam0 is None:
-            aty = op.adjoint_apply(y) if aty is None else aty
-            lam0 = 0.5 * float(np.max(np.abs(aty))) ** 2
+        aty = op.adjoint_apply(y) if aty is None else aty
+        lam0 = 0.5 * float(np.max(np.abs(aty))) ** 2
         if lam0 <= 0:
             raise ValueError("lam0 must be positive (is the data identically zero?)")
-        lam_min = 1e-15 * lam0 if self.lam_min is None else self.lam_min
-        return continuation_grid(lam0, lam_min, self.N)
-
-    @staticmethod
-    def grid_size_for_rho(rho, lam0_over_lam_min=1e15):
-        """Smallest N whose grid ratio is at least the requested rho."""
-        if not 0 < rho < 1:
-            raise ValueError("rho must lie in (0, 1)")
-        return max(1, math.ceil(-math.log(lam0_over_lam_min) / math.log(rho)))
+        return continuation_grid(lam0, 1e-15 * lam0, self.N)
 
 
 @dataclass
@@ -366,16 +351,14 @@ def pdasc(op, y, config, truth=None):
     y = cache.y
     res_norm = float(np.linalg.norm(y))   # at x = 0
     empty = np.zeros(0, dtype=np.intp)
-    if config.lam0 is None and float(np.max(np.abs(cache.aty))) == 0.0:
+    if float(np.max(np.abs(cache.aty))) == 0.0:
         # data uncorrelated with every column: x = 0 is optimal at any lambda
         rec = LambdaRecord.build(1, 0.0, empty, 0, res_norm, truth)
         status = CONVERGED if rec.residual <= config.eps_bar else GRID_EXHAUSTED
         return SolveReport(x_final=np.zeros(op.p), support_final=empty,
                            lam_final=0.0, records=[rec], status=status, solver="pdasc")
     grid, _rho = config.resolve_grid(op, y, cache.aty)
-    cg = None if config.lsq_mode == "direct" else {
-        "noise_level": config.eps_bar, "max_iters": config.cg_max_iters,
-        "tol_factor": config.cg_tol_factor}
+    cg = None if config.lsq_mode == "direct" else {"noise_level": config.eps_bar}
 
     x, r, d = np.zeros(op.p), y, cache.aty   # the solution on the empty set
     active = solved = empty

@@ -22,16 +22,16 @@ SUBSET_ENUMERATION_CAP = 1_000_000
 
 
 class CapacityError(RuntimeError):
-    """An exact scan/enumeration was requested beyond its configured size cap."""
+    """An exact scan/enumeration was requested beyond its size cap."""
 
 
-def mutual_coherence(op, max_columns=COHERENCE_COLUMN_CAP):
+def mutual_coherence(op):
     """Largest |psi_i^t psi_j| over distinct column pairs, by exact pairwise scan."""
     if op.p < 2:
         raise ValueError("mutual coherence needs at least two columns")
-    if op.p > max_columns:
-        raise CapacityError(
-            f"exact pairwise scan over p = {op.p} columns exceeds the cap {max_columns}")
+    if op.p > COHERENCE_COLUMN_CAP:
+        raise CapacityError(f"exact pairwise scan over p = {op.p} columns exceeds the cap "
+                            f"{COHERENCE_COLUMN_CAP}")
     mat = op.dense()
     best = 0.0
     block = 256
@@ -43,7 +43,7 @@ def mutual_coherence(op, max_columns=COHERENCE_COLUMN_CAP):
     return best
 
 
-def rip_constant_bruteforce(op, s, max_subsets=SUBSET_ENUMERATION_CAP):
+def rip_constant_bruteforce(op, s):
     """Exact restricted-isometry constant of level s by enumerating all s-subsets.
 
     delta_s = max over |A| = s of max(sigma_max(Psi_A)^2 - 1, 1 - sigma_min(Psi_A)^2);
@@ -52,9 +52,9 @@ def rip_constant_bruteforce(op, s, max_subsets=SUBSET_ENUMERATION_CAP):
     s = int(s)
     if not 1 <= s <= op.p:
         raise ValueError(f"need 1 <= s <= p, got s={s}")
-    if math.comb(op.p, s) > max_subsets:
-        raise CapacityError(
-            f"C({op.p}, {s}) = {math.comb(op.p, s)} subsets exceeds the cap {max_subsets}")
+    if math.comb(op.p, s) > SUBSET_ENUMERATION_CAP:
+        raise CapacityError(f"C({op.p}, {s}) = {math.comb(op.p, s)} subsets exceeds the cap "
+                            f"{SUBSET_ENUMERATION_CAP}")
     mat = op.dense()
     delta = 0.0
     for subset in combinations(range(op.p), s):
@@ -160,7 +160,7 @@ def oracle_solution(op, support, y):
     return x
 
 
-def bruteforce_l0_min(op, y, lam, k_max, max_subsets=SUBSET_ENUMERATION_CAP):
+def bruteforce_l0_min(op, y, lam, k_max):
     """Global minimizer of the l0-regularized objective by exhaustive enumeration.
 
     Enumerates every support of size <= k_max, solves the restricted
@@ -174,8 +174,8 @@ def bruteforce_l0_min(op, y, lam, k_max, max_subsets=SUBSET_ENUMERATION_CAP):
     if not 0 <= k_max <= op.p:
         raise ValueError(f"need 0 <= k_max <= p, got {k_max}")
     total = sum(math.comb(op.p, k) for k in range(k_max + 1))
-    if total > max_subsets:
-        raise CapacityError(f"{total} candidate supports exceed the cap {max_subsets}")
+    if total > SUBSET_ENUMERATION_CAP:
+        raise CapacityError(f"{total} candidate supports exceed the cap {SUBSET_ENUMERATION_CAP}")
     if lam <= 0:
         raise ValueError("lambda must be positive")
     y = np.asarray(y, dtype=float)

@@ -63,7 +63,9 @@ def theorem6_suite():
         if not cert.mip_conv_ok:
             continue
         rho = (cert.rho_interval[0] + 1.0) / 2.0
-        cfg = SolverConfig(N=SolverConfig.grid_size_for_rho(rho), J_max=5,
+        # the smallest N whose grid ratio (1e-15)^(1/N) is at least rho
+        N = max(1, math.ceil(-math.log(1e15) / math.log(rho)))
+        cfg = SolverConfig(N=N, J_max=5,
                            eps_bar=1e-10 * float(np.linalg.norm(inst.y)))
         report = pdasc(op, inst.y, cfg, truth=truth)
         runs.append((op, inst, report))

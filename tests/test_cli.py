@@ -142,6 +142,41 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, overrides, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+@pytest.mark.parametrize("entry, named", [
+    ({"name": "pdasc", "lam0": 1.0}, "'lam0'"),
+    ({"name": "pdasc", "lam_min": 1e-9}, "'lam_min'"),
+    ({"name": "pdasc", "lsq_mode": "cg", "cg_max_iters": 5}, "'cg_max_iters'"),
+    ({"name": "pdasc", "lsq_mode": "cg", "cg_tol_factor": 1e-3}, "'cg_tol_factor'"),
+    ({"name": "omp", "tol": 0.0}, "'tol'"),
+    ({"name": "iht", "step_size": 0.5}, "'step_size'"),
+    ({"name": "omp", "T": 99}, "T=99"),
+], ids=["lam0", "lam_min", "cg_max_iters", "cg_tol_factor", "tol", "step_size", "T-above-n"])
+def test_bad_solver_entry_is_a_config_error(tmp_path, capsys, entry, named, command):
+    # removed settings are unknown keys; an entry's own T must lie in 1..n = 24
+    doc = config_doc(solvers=[entry])
+    with pytest.raises(ConfigError, match=named):
+        ExperimentConfig.from_json(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
+@pytest.mark.parametrize("command", ["gen", "solve", "sweep", "certify"])
+def test_non_object_config_is_a_config_error(tmp_path, capsys, command, seed):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)] + seed) == 2
+    assert "config must be an object" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--solver-index", "2"],
     ["solve", "--solver-index", "-1"],

@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import l0kit.baselines as baselines_module
 import l0kit.harness as harness_module
 from l0kit import SolverConfig, pdasc, psnr, relative_l2, abs_linf, exact_support
 from l0kit.harness import (ConfigError, ExperimentConfig, make_instance, records_csv,
@@ -139,15 +140,19 @@ def test_sweep_deterministic_with_injected_clock():
     assert a == b
 
 
-def test_sweep_survives_per_trial_solver_errors():
-    # T above the OMP row budget fails inside the trial, recorded not raised
+def test_sweep_survives_per_trial_solver_errors(monkeypatch):
+    # a solver that raises inside the trial is recorded, not raised
+    def failing_omp(*args, **kwargs):
+        raise ValueError("solver failed")
+
+    monkeypatch.setattr(baselines_module, "omp", failing_omp)
     config = ExperimentConfig.from_json({
         "matrix": {"kind": "gaussian", "n": 10, "p": 20},
         "signal": {"T": 4, "R": 2.0},
         "sigma": 0.0,
         "trials": 2,
         "seed": 3,
-        "solvers": [{"name": "omp", "T": 15}],
+        "solvers": [{"name": "omp"}],
     })
     result = run_sweep(config)
     assert all(r.status == "error" and r.error for r in result["rows"])

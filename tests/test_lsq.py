@@ -79,13 +79,21 @@ def test_active_set_validation():
         solve_direct(op, [11], np.ones(5))
 
 
+def _start(op, y, x):
+    """The full CG start (x, r, d) at x."""
+    r = y - op.apply(x)
+    return x, r, op.adjoint_apply(r)
+
+
 def test_cg_zero_iterations_from_exact_warm_start():
     op = gen_gaussian_operator(30, 60, seed=7)
     y = np.random.default_rng(8).standard_normal(30)
     active = np.arange(6)
     exact = solve_direct(op, active, y).x_active
-    sol = solve_cg(op, active, y, warm_start=exact, noise_level=np.linalg.norm(y),
-                   max_iters=10, tol_factor=1e-5)
+    x = np.zeros(60)
+    x[active] = exact
+    sol = solve_cg(op, active, y, noise_level=np.linalg.norm(y), max_iters=10,
+                   tol_factor=1e-5, start=_start(op, y, x))
     assert sol.iterations <= 1
     assert np.max(np.abs(sol.x_active - exact)) <= 1e-8
 
@@ -119,7 +127,12 @@ def test_cg_residual_is_recomputed_consistently():
         y = rng.standard_normal(op.n)
         active = np.sort(rng.choice(op.p, size=8, replace=False))
         for warm in (None, rng.standard_normal(8)):
-            sol = solve_cg(op, active, y, warm_start=warm, noise_level=1.0, max_iters=2)
+            start = None
+            if warm is not None:
+                x = np.zeros(op.p)
+                x[active] = warm
+                start = _start(op, y, x)
+            sol = solve_cg(op, active, y, noise_level=1.0, max_iters=2, start=start)
             assert sol.iterations == 2
             x = np.zeros(op.p)
             x[active] = sol.x_active
@@ -138,13 +151,13 @@ def test_cg_start_with_entries_off_the_set_matches_fresh_start():
     start = (x, r, op.adjoint_apply(r))
     active = np.array([3, 41, 90, 120])   # drops 40 and 200, adds 120
     carried = solve_cg(op, active, y, start=start, max_iters=2)
-    fresh = solve_cg(op, active, y, warm_start=x[active], max_iters=2)
+    on_set = np.zeros(256)
+    on_set[active] = x[active]
+    fresh = solve_cg(op, active, y, max_iters=2, start=_start(op, y, on_set))
     for a, b in ((carried.x_active, fresh.x_active), (carried.residual, fresh.residual),
                  (carried.dual, fresh.dual)):
         assert _rel(a, b) <= 1e-12
     assert np.array_equal(start[1], r)   # the carried pair is not modified
-    with pytest.raises(ValueError, match="not both"):
-        solve_cg(op, active, y, warm_start=x[active], start=start)
 
 
 def test_cg_normal_equation_residual_monotone():
@@ -171,7 +184,7 @@ def test_cg_rejects_bad_inputs():
     with pytest.raises(ValueError):
         solve_cg(op, [], np.ones(10))
     with pytest.raises(ValueError):
-        solve_cg(op, [1, 2], np.ones(10), warm_start=np.ones(3))
+        solve_cg(op, [1, 2], np.ones(10), start=(np.ones(3), np.ones(10), np.ones(20)))
 
 
 def _rel(a, b):

@@ -7,8 +7,7 @@ from scipy.fft import idct
 
 from l0kit import (DenseOperator, PartialDctOperator, gen_bernoulli_operator,
                    gen_gaussian_operator, gen_partial_dct_operator, load_operator_binary,
-                   load_operator_csv, mutual_coherence, save_operator_binary,
-                   save_operator_csv)
+                   mutual_coherence, save_operator_binary, save_operator_csv)
 
 ALL_GENERATORS = [gen_gaussian_operator, gen_bernoulli_operator, gen_partial_dct_operator]
 
@@ -181,8 +180,8 @@ def test_csv_round_trip(tmp_path):
     op = gen_bernoulli_operator(5, 9, seed=1)
     path = tmp_path / "op.csv"
     save_operator_csv(op, path)
-    loaded = load_operator_csv(path)
-    assert np.array_equal(loaded.mat, op.mat)
+    loaded = np.loadtxt(path, delimiter=",")
+    assert np.array_equal(loaded, op.mat)
 
 
 def test_dense_operator_dim_checks():

@@ -508,7 +508,10 @@ def test_pdasc_cg_start_correction_matches_uncorrected_replay(monkeypatch):
     solve = importlib.import_module("l0kit.lsq").solve_cg
 
     def fresh_start(op_, active, y, start, cache=None, **kwargs):
-        return solve(op_, active, y, warm_start=start[0][active], **kwargs)
+        x = np.zeros(op_.p)
+        x[active] = start[0][active]
+        r = y - op_.apply(x)
+        return solve(op_, active, y, start=(x, r, op_.adjoint_apply(r)), **kwargs)
 
     monkeypatch.setattr(pdasc_module, "solve_cg", fresh_start)
     replay = pdasc(op, inst.y, cfg)

@@ -34,9 +34,9 @@ def test_coherence_example1_matrix():
 def test_coherence_guards():
     with pytest.raises(ValueError):
         mutual_coherence(DenseOperator(np.ones((3, 1))))
-    op = gen_gaussian_operator(4, 10, seed=0)
+    op = gen_gaussian_operator(4, 5001, seed=0)   # one column past the scan cap
     with pytest.raises(CapacityError):
-        mutual_coherence(op, max_columns=5)
+        mutual_coherence(op)
 
 
 # -------------------------------------------------------------- RIP brute force
