@@ -93,7 +93,7 @@ def htp(op, y, config, truth=None):
     prev = None
     records = []
     status = MAX_ITERS
-    d = op.dual(y, x)   # afterwards each solve returns the dual of its solution
+    d = op.adjoint_apply(y)   # the dual at x = 0; afterwards each solve returns its own
     for it in range(1, limit + 1):
         selected = _top_indices(x + d, config.T)
         if prev is not None and np.array_equal(selected, prev):
@@ -129,7 +129,7 @@ def iht(op, y, config, truth=None):
     limit = 100 if config.max_iters is None else config.max_iters
     records = []
     status = MAX_ITERS
-    r = y - op.apply(x)   # carried: each iterate is applied once
+    r = y.copy()   # the residual at x = 0, carried: each iterate is applied once
     res_norm = float(np.linalg.norm(r))
     for it in range(1, limit + 1):
         g = op.adjoint_apply(r)

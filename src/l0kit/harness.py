@@ -215,6 +215,8 @@ def _solver_runner(spec, n):
     if name not in ("omp", "htp", "cosamp", "iht", "aiht"):
         raise ConfigError(f"unknown solver {name!r}")
     label = spec.pop("label", name)
+    if "step_policy" in spec and name not in ("iht", "aiht"):
+        raise ConfigError(f"{name} entry has the key 'step_policy', which only iht and aiht take")
     if name == "aiht":
         spec.setdefault("step_policy", "adaptive")
     T = spec.pop("T", None)

@@ -1,29 +1,30 @@
 """Restricted least squares on an active set: cached direct Cholesky and warm-started CG.
 
 A ``GramCache`` serves one solve (one continuation path, one OMP run) on one
-operator and one data vector. It holds Psi^t y, the columns fetched so far,
-their Gram block and each cached column's slot. A direct solve on a set A
-fetches only the columns of A it has not seen, extends the Gram block by their
-cross products with the cached columns, gathers the |A| x |A| submatrix and
-factors it with LAPACK ``potrf``/``potrs``. Along a path the set moves by a
-few indices per step, so almost every column and Gram entry is reused.
+operator and one data vector. It holds Psi^t y, the Gram block of the columns
+seen so far and each such column's slot, and the columns themselves where a
+solve needs them. Along a path the set moves by a few indices per step, so
+almost every Gram entry is reused.
+
+The operator's type decides how the block is filled. A table operator, one
+with a closed-form ``gram(a, b)`` such as the partial DCT, fills it in O(m j)
+for j new indices against m cached ones and fetches a column only when a
+direct solve needs it. Any other operator fetches the column of every new index and
+extends the block by its cross products with the cached columns.
+
+A direct solve on a set A gathers the |A| x |A| submatrix, factors it with
+LAPACK ``potrf``/``potrs`` and forms the residual from the cached columns of
+A. A CG solve runs on the same submatrix: each iteration is one |A| x |A|
+matvec, and the solve ends with one apply and one adjoint for the exact
+residual r = y - Psi x and dual d = Psi^t r that the active-set update needs.
 
 Memory is bounded by the problem shape: the cache holds at most min(p, 2n)
-columns (8 n min(p, 2n) bytes of columns plus 8 min(p, 2n)^2 of Gram block).
-A solve whose unseen columns would pass that bound first restarts the cache
-from the cached columns of its own active set, which always fit since
-|A| <= min(n, p).
+slots (8 min(p, 2n)^2 bytes of Gram block, plus 8 n min(p, 2n) of columns).
+A solve whose unseen indices would pass the bound first restarts the cache
+from the slots of its own active set, which always fit since |A| <= min(n, p).
 
-``solve_direct(op, active, y)`` without a cache is the one-shot form of the
-same code: a fresh cache that sees only A.
-
-``solve_cg`` is matrix-free and carries the full iterate (x, r = y - Psi x,
-d = Psi^t r), updating r and d by recurrence along each CG direction, so
-one CG iteration costs one apply and one adjoint and the dual the active-set
-update needs comes out of the solve with no further pass. A start whose x has
-entries off the active set first drops them with one apply/adjoint pair. The
-continuation driver recomputes r and d afresh once at the end of every lambda
-step, which bounds the recurrence drift to the J_max solves of one step.
+``solve_direct(op, active, y)`` and ``solve_cg`` without a cache are the
+one-shot forms of the same code: a fresh cache that sees only A.
 """
 
 from dataclasses import dataclass
@@ -75,7 +76,7 @@ def finite_vector(name, v):
 
 
 class GramCache:
-    """Columns, Gram block and Psi^t y of one (operator, data) pair, reused
+    """Gram block, columns and Psi^t y of one (operator, data) pair, reused
     across the restricted solves of one solver run (see the module notes)."""
 
     def __init__(self, op, y):
@@ -85,10 +86,12 @@ class GramCache:
             raise ValueError(f"expected y of shape ({op.n},), got {self.y.shape}")
         self.limit = min(op.p, 2 * op.n)
         self._aty = None
+        self._table = getattr(op, "gram", None)   # closed-form Gram entries, if any
         self._slot = np.full(op.p, -1, dtype=np.intp)  # column index -> slot, -1 if absent
-        # per slot: column index, column (as a row), Gram row, column against y;
-        # allocated on first use and grown by doubling up to ``limit``
-        self._index = self._cols = self._gram = self._cty = None
+        # per slot: column index, Gram row, whether the column is stored, and the
+        # column (as a row) with its product with y; allocated on first use, the
+        # columns of a table operator only once a direct solve needs them
+        self._index = self._gram = self._stored = self._cols = self._cty = None
         self._capacity = self.size = 0
 
     @property
@@ -98,8 +101,13 @@ class GramCache:
             self._aty = self.op.adjoint_apply(self.y)
         return self._aty
 
+    def block(self, active):
+        """Slots and Gram submatrix of the sorted index set ``active``."""
+        slots = self._slots(active)
+        return slots, self._gram.take(slots, 0).take(slots, 1)
+
     def _slots(self, active):
-        """Slots of the sorted index set ``active``, fetching unseen columns."""
+        """Slots of the sorted index set ``active``, filling unseen Gram rows."""
         slots = self._slot[active]
         missing = active[slots < 0]
         if missing.size:
@@ -114,9 +122,11 @@ class GramCache:
         m = keep.size
         index = self._index[keep]
         self._slot[self._index[:self.size]] = -1
-        self._cols[:m] = self._cols[keep]
         self._gram[:m, :m] = self._gram.take(keep, 0).take(keep, 1)
-        self._cty[:m] = self._cty[keep]
+        self._stored[:m] = self._stored[keep]
+        if self._cols is not None:
+            self._cols[:m] = self._cols[keep]
+            self._cty[:m] = self._cty[keep]
         self._index[:m] = index
         self._slot[index] = np.arange(m)
         self.size = m
@@ -124,28 +134,61 @@ class GramCache:
     def _add(self, indices):
         m, j = self.size, indices.size
         if m + j > self._capacity:
-            self._grow(min(self.limit, max(m + j, 2 * self._capacity)))
-        new = self._cols[m:m + j]
-        new[...] = self.op.columns(indices).T
-        if m:
-            cross = self._cols[:m] @ new.T
-            self._gram[:m, m:m + j] = cross
-            self._gram[m:m + j, :m] = cross.T
-        self._gram[m:m + j, m:m + j] = new @ new.T
-        self._cty[m:m + j] = new @ self.y
+            # with columns stored, copying them dominates a regrowth, so capacity
+            # doubles; a Gram-only cache grows by a quarter to keep its peak memory
+            # near the block the path uses
+            step = self._capacity if self._cols is not None else self._capacity // 4
+            self._grow(min(self.limit, max(m + j, self._capacity + step)))
         self._index[m:m + j] = indices
+        if self._table is None:
+            new = self._cols[m:m + j]
+            new[...] = self.op.columns(indices).T
+            if m:
+                cross = self._cols[:m] @ new.T
+                self._gram[:m, m:m + j] = cross
+                self._gram[m:m + j, :m] = cross.T
+            self._gram[m:m + j, m:m + j] = new @ new.T
+            self._cty[m:m + j] = new @ self.y
+        else:
+            rows = self._table(indices, self._index[:m + j])
+            self._gram[m:m + j, :m + j] = rows
+            self._gram[:m, m:m + j] = rows[:, :m].T
+        self._stored[m:m + j] = self._table is None
         self._slot[indices] = np.arange(m, m + j)
         self.size = m + j
 
     def _grow(self, cap):
         m = self.size
-        cols, gram = np.empty((cap, self.op.n)), np.empty((cap, cap))
-        cty, index = np.empty(cap), np.empty(cap, dtype=np.intp)
+        gram, stored = np.empty((cap, cap)), np.empty(cap, dtype=bool)
+        index = np.empty(cap, dtype=np.intp)
         if m:
-            cols[:m], gram[:m, :m] = self._cols[:m], self._gram[:m, :m]
-            cty[:m], index[:m] = self._cty[:m], self._index[:m]
-        self._cols, self._gram, self._cty, self._index = cols, gram, cty, index
+            gram[:m, :m] = self._gram[:m, :m]
+            stored[:m], index[:m] = self._stored[:m], self._index[:m]
+        self._gram, self._stored, self._index = gram, stored, index
+        if self._table is None or self._cols is not None:
+            self._grow_columns(cap)
         self._capacity = cap
+
+    def _grow_columns(self, cap):
+        m = self.size if self._cols is not None else 0
+        cols, cty = np.empty((cap, self.op.n)), np.empty(cap)
+        if m:
+            cols[:m], cty[:m] = self._cols[:m], self._cty[:m]
+        self._cols, self._cty = cols, cty
+
+    def _columns(self, slots):
+        """Cached columns of ``slots`` (as rows) and their products with y,
+        fetching the columns a table operator has not yet stored."""
+        if self._table is not None:   # other operators store a column with its slot
+            missing = slots[~self._stored.take(slots)]
+            if missing.size:
+                if self._cols is None:
+                    self._grow_columns(self._capacity)
+                new = self.op.columns(self._index[missing]).T
+                self._cols[missing] = new
+                self._cty[missing] = new @ self.y
+                self._stored[missing] = True
+        return self._cols.take(slots, 0), self._cty.take(slots)
 
     def _solve(self, active):
         """Cholesky solve of Psi_A^t Psi_A x_A = Psi_A^t y on a sorted index set."""
@@ -154,16 +197,16 @@ class GramCache:
                                          "direct")
         if active.size > self.op.n:
             raise SingularGramError(active.size)
-        slots = self._slots(active)
-        gram = self._gram.take(slots, 0).take(slots, 1)
+        slots, gram = self.block(active)
         scale = float(gram.diagonal().max())
         # the gathered block is symmetric, so its transpose is the same matrix
         # in the column-major order LAPACK factors in place
         factor, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
         if info != 0 or float(factor.diagonal().min()) ** 2 <= GRAM_PIVOT_TOL * scale:
             raise SingularGramError(active.size)
-        x_a, _ = dpotrs(factor, self._cty.take(slots), lower=1)
-        residual = self.y - x_a @ self._cols.take(slots, 0)
+        cols, cty = self._columns(slots)
+        x_a, _ = dpotrs(factor, cty, lower=1)
+        residual = self.y - x_a @ cols
         return RestrictedLsqSolution(x_a, residual, self.op.adjoint_apply(residual), 0,
                                      "direct")
 
@@ -181,62 +224,50 @@ def solve_cg(op, active, y, noise_level=0.0, max_iters=2, tol_factor=1e-5, cache
              start=None):
     """Conjugate gradients on the normal equations over the active set.
 
-    Starts from a full iterate ``start = (x, r, d)`` with r = y - Psi x and
-    d = Psi^t r, or from x = 0 (r = y, d = Psi^t y) when omitted, and stops
-    when the normal-equation residual drops to ``tol_factor * noise_level`` or
-    after ``max_iters`` iterations, whichever comes first. Bounded iterations
-    are by design, so hitting the cap is not an error.
+    Runs on the cached Gram block G_AA with right-hand side (Psi^t y)_A,
+    starting from ``start[A]`` for a length-p ``start`` (its entries off A are
+    dropped) or from zero when omitted, and stops when the normal-equation
+    residual drops to ``tol_factor * noise_level`` or after ``max_iters``
+    iterations, whichever comes first. Bounded iterations are by design, so
+    hitting the cap is not an error.
 
-    The returned residual and dual are carried by recurrence, not recomputed:
-    each direction p costs one apply u = Psi p and one adjoint g = Psi^t u,
-    and the step alpha updates r -= alpha u and d -= alpha g along with z, so
-    d[A] is the CG gradient. When x has entries off A, the solve first drops
-    them: u0 = Psi x_off is added to r and Psi^t u0 to d (one more
-    apply/adjoint pair). CG fetches no columns; a ``cache`` only has to match
-    (op, y).
+    Each iteration is one |A| x |A| matvec. The solve ends with one apply and
+    one adjoint, so the returned residual y - Psi x and dual Psi^t r are
+    exact, whatever the iteration count or start.
     """
     active = _as_index_set(active, op.p)
     cache = _cache_for(op, y, cache)
     y = cache.y
     if active.size == 0:
         raise ValueError("CG solve needs a nonempty active set")
-    x, r, d = (np.zeros(op.p), y, cache.aty) if start is None else start
-    if x.shape != (op.p,) or r.shape != (op.n,) or d.shape != (op.p,):
-        raise ValueError("start must be (x, r, d) of shapes (p,), (n,), (p,)")
-    z = x[active]
-    r, d = r.copy(), d.copy()
-    off = x.copy()
-    off[active] = 0.0
-    if off.any():  # the restricted problem starts at x with its entries off A dropped
-        u = op.apply(off)
-        r += u
-        d += op.adjoint_apply(u)
+    if start is not None and np.shape(start) != (op.p,):
+        raise ValueError(f"start must be a length-{op.p} vector")
+    z = np.zeros(active.size) if start is None else np.asarray(start, dtype=float)[active]
+    _, gram = cache.block(active)
 
     tol = float(tol_factor) * float(noise_level)
-    grad = d[active]
+    grad = cache.aty[active] - gram @ z
     rr = float(grad @ grad)
     norms = [np.sqrt(rr)]
     p_dir = grad
     iters = 0
     while norms[-1] > tol and iters < max_iters:
-        full = np.zeros(op.p)
-        full[active] = p_dir
-        u = op.apply(full)
-        g = op.adjoint_apply(u)
-        denom = float(p_dir @ g[active])
+        q = gram @ p_dir
+        denom = float(p_dir @ q)
         if denom <= 0.0:
             break  # numerically semidefinite direction; stop where we are
         alpha = rr / denom
         z += alpha * p_dir
-        r -= alpha * u
-        d -= alpha * g
-        grad = d[active]
+        grad = grad - alpha * q
         rr_new = float(grad @ grad)
         norms.append(np.sqrt(rr_new))
         p_dir = grad + (rr_new / rr) * p_dir
         rr = rr_new
         iters += 1
-    return RestrictedLsqSolution(z, r, d, iters, "cg", norms)
+    x = np.zeros(op.p)
+    x[active] = z
+    r = y - op.apply(x)
+    return RestrictedLsqSolution(z, r, op.adjoint_apply(r), iters, "cg", norms)
 
 
 def _cache_for(op, y, cache):

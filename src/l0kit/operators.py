@@ -116,12 +116,13 @@ class PartialDctOperator(SensingOperator):
     """Rows of the p x p orthonormal DCT-II matrix, columns rescaled to unit norm.
 
     apply/adjoint_apply run through the fast transform in O(p log p); columns
-    are materialized on demand.
+    are materialized on demand, and Gram entries come in closed form from one
+    length-2p cosine sum computed at construction (see ``gram``).
     """
 
     kind = "partial-dct"
 
-    def __init__(self, p, rows, col_norms=None):
+    def __init__(self, p, rows):
         rows = np.asarray(rows, dtype=np.intp)
         if rows.size > p:
             raise ValueError(f"cannot select {rows.size} rows from a {p} x {p} transform")
@@ -129,24 +130,22 @@ class PartialDctOperator(SensingOperator):
             raise ValueError("row selection must be without replacement")
         super().__init__(rows.size, p, columns_normalized=True)
         self.rows = np.sort(rows)
-        if col_norms is None:
-            col_norms = self._selected_row_norms()
-        if np.any(col_norms < 1e-12):
-            raise ValueError("row selection produced a numerically zero column")
-        self._col_scale = 1.0 / col_norms
-
-    def _selected_row_norms(self):
-        # column j of the DCT-II matrix over the rows k has squared norm
-        # sum_k c_k^2 cos^2(pi k (2j+1) / 2p) = (sum_k c_k^2 + Re F(c^2)[2j+1]) / 2,
-        # with c_0^2 = 1/p, c_k^2 = 2/p and F the length-2p DFT of c^2 zero-padded
+        # h[m] = sum_k c_k^2 cos(pi k m / p) over the selected rows k, m < 2p, with
+        # c_0^2 = 1/p and c_k^2 = 2/p: the real part of the length-2p DFT of c^2
+        # zero-padded. Column j of the DCT-II matrix over the rows has squared
+        # norm sum_k c_k^2 cos^2(pi k (2j+1) / 2p) = (sum_k c_k^2 + h[2j+1]) / 2.
         w = np.zeros(2 * self.p)
         w[self.rows] = 2.0 / self.p
         w[0] /= 2.0
-        sq = 0.5 * w.sum() + 0.5 * np.fft.fft(w).real[1::2]
+        self._h = np.fft.fft(w).real
+        sq = 0.5 * w.sum() + 0.5 * self._h[1::2]
         # the transform leaves rounding of about eps * sum(w) in a column that is
         # exactly zero; clear it so the zero-column check below sees the column
         sq[sq <= 1e-13 * w.sum()] = 0.0
-        return np.sqrt(sq)
+        col_norms = np.sqrt(sq)
+        if np.any(col_norms < 1e-12):
+            raise ValueError("row selection produced a numerically zero column")
+        self._col_scale = 1.0 / col_norms
 
     def apply(self, x):
         x = self._check_apply_dim(x)
@@ -162,6 +161,18 @@ class PartialDctOperator(SensingOperator):
         e = np.zeros(self.p)
         e[i] = self._col_scale[i]
         return dct(e, norm="ortho")[self.rows]
+
+    def gram(self, a, b):
+        """The block columns(a)^t columns(b), with no column materialized.
+
+        By cos u cos v = (cos(u - v) + cos(u + v)) / 2, entry (i, j) is
+        s_i s_j (h[|i - j|] + h[i + j + 1]) / 2 with s the column scale, so a
+        block of k x l entries costs O(k l).
+        """
+        a = np.asarray(a, dtype=np.intp)[:, None]
+        b = np.asarray(b, dtype=np.intp)[None, :]
+        scale = self._col_scale[a] * self._col_scale[b]
+        return scale * (0.5 * (self._h[np.abs(a - b)] + self._h[a + b + 1]))
 
 
 class CustomOperator(SensingOperator):

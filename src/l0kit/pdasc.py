@@ -204,12 +204,9 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solv
     ``cache`` is a GramCache for (op, y) shared by the solves of a whole path;
     without one, the call builds one for its own solves. ``cg`` holds the
     ``solve_cg`` keyword settings (noise_level, max_iters, tol_factor) when
-    the nonempty sets are solved by CG instead of Cholesky. CG starts from
-    the full iterate (x0, r0 = y - Psi x0, d0 = Psi^t r0) and carries the
-    residual and dual by recurrence from solve to solve; without ``r0`` the
-    first CG solve starts from a freshly computed pair. A step whose last
-    solve was CG ends by recomputing r and d from x once, so the state (and
-    the next step's start) is exact.
+    the nonempty sets are solved by CG instead of Cholesky. Each CG solve
+    starts from the current x on its set and returns an exact residual and
+    dual, so ``r0`` matters only to the skip above.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -234,7 +231,6 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solv
     status = CAP_HIT
     carry = current
     solves = 0
-    refresh = False
     for _ in range(J_max):
         if skip:
             skip = False  # (x, r, d) already solve the current set
@@ -244,17 +240,13 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solv
                 if cg is None or current.size == 0:
                     sol = solve_direct(op, current, y, cache)
                 else:
-                    if r is None:
-                        r = y - op.apply(x)
-                        d = op.adjoint_apply(r)
-                    sol = solve_cg(op, current, y, cache=cache, start=(x, r, d), **cg)
+                    sol = solve_cg(op, current, y, cache=cache, start=x, **cg)
             except SingularGramError as err:
                 err.lam, err.active, err.solves = lam, current, solves
                 raise
             x = np.zeros(op.p)
             x[current] = sol.x_active
             r, d = sol.residual, sol.dual
-            refresh = sol.method == "cg"
         sets.append(current)
         selected = np.flatnonzero(np.abs(x + d) > thr)
         if selected.size == current.size and (selected == current).all():
@@ -266,9 +258,6 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solv
             break
         carry = selected
         current = selected
-    if refresh:  # replace the recurrence pair by an exact one
-        r = y - op.apply(x)
-        d = op.adjoint_apply(r)
     state = SolverState(lam=lam, x=x, d=d, active=carry, solved_set=sets[-1],
                         inner_iters=len(sets), residual=r, solves=solves)
     return InnerResult(state=state, status=status, active_sets=sets)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.fft import dct
 
-from l0kit import DenseOperator
+from l0kit import DenseOperator, PartialDctOperator
 
 
 def example1_pair(mu=-0.5):
@@ -44,6 +44,28 @@ def orthonormal_operator(p, rng=None):
     rng = rng or np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     return DenseOperator(q, columns_normalized=True)
+
+
+class CountingDctOperator(PartialDctOperator):
+    """A partial DCT that counts its applies and adjoints and records every
+    column index it materializes."""
+
+    def __init__(self, base):
+        super().__init__(base.p, base.rows)
+        self.applies = self.adjoints = 0
+        self.fetched = []
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
+
+    def adjoint_apply(self, r):
+        self.adjoints += 1
+        return super().adjoint_apply(r)
+
+    def columns(self, indices):
+        self.fetched.extend(np.asarray(indices).tolist())
+        return super().columns(indices)
 
 
 @pytest.fixture

@@ -127,12 +127,13 @@ def test_fixed_iht_applies_each_iterate_once():
     op = CountingOperator(base)
     report = iht(op, inst.y, GreedyConfig(T=40))
     assert len(report.records) == 100
-    assert op.applies <= len(report.records) + 1
+    assert op.applies == len(report.records)
 
 
 def test_adaptive_iht_applies_only_in_the_step_search(monkeypatch):
-    # the residual of the accepted proposal is carried, so outside the step
-    # search only the starting point is applied (before: two more per iteration)
+    # the residual of the accepted proposal is carried and the zero start's
+    # residual is y, so every apply is in the step search (before: two more
+    # per iteration, then one for the zero start)
     base, inst = _iht_instance()
     op = CountingOperator(base)
     in_step = [0]
@@ -148,18 +149,19 @@ def test_adaptive_iht_applies_only_in_the_step_search(monkeypatch):
     monkeypatch.setattr(baselines_module, "_adaptive_step", counted_step)
     report = iht(op, inst.y, GreedyConfig(T=40, step_policy="adaptive"))
     assert len(report.records) > 10
-    assert op.applies - in_step[0] == 1
+    assert op.applies - in_step[0] == 0
 
 
 def test_htp_reuses_the_dual_of_each_solve():
-    # one apply/adjoint pair for the starting dual, then the one adjoint each
-    # solve spends on its own dual (before: 5 applies and 9 adjoints here)
+    # one adjoint for the dual at the zero start, then the one adjoint each
+    # solve spends on its own dual (before: 5 applies and 9 adjoints here,
+    # then 1 apply for the zero start)
     base, inst = _iht_instance()
     op = CountingOperator(base)
     report = htp(op, inst.y, GreedyConfig(T=40))
     assert report.status == "converged"
     assert len(report.records) == 4
-    assert (op.applies, op.adjoints) == (1, 5)
+    assert (op.applies, op.adjoints) == (0, 5)
 
 
 def test_every_baseline_respects_sparsity_budget():

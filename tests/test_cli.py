@@ -151,9 +151,14 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, overrides, command
     ({"name": "omp", "tol": 0.0}, "'tol'"),
     ({"name": "iht", "step_size": 0.5}, "'step_size'"),
     ({"name": "omp", "T": 99}, "T=99"),
-], ids=["lam0", "lam_min", "cg_max_iters", "cg_tol_factor", "tol", "step_size", "T-above-n"])
+    ({"name": "omp", "step_policy": "adaptive"}, "'step_policy'"),
+    ({"name": "htp", "step_policy": "fixed"}, "'step_policy'"),
+    ({"name": "cosamp", "step_policy": "adaptive"}, "'step_policy'"),
+], ids=["lam0", "lam_min", "cg_max_iters", "cg_tol_factor", "tol", "step_size", "T-above-n",
+        "omp-step_policy", "htp-step_policy", "cosamp-step_policy"])
 def test_bad_solver_entry_is_a_config_error(tmp_path, capsys, entry, named, command):
-    # removed settings are unknown keys; an entry's own T must lie in 1..n = 24
+    # removed settings are unknown keys; an entry's own T must lie in 1..n = 24;
+    # only the IHT entries take a step policy
     doc = config_doc(solvers=[entry])
     with pytest.raises(ConfigError, match=named):
         ExperimentConfig.from_json(doc)

@@ -4,7 +4,7 @@ import pytest
 from l0kit import (DenseOperator, GramCache, SingularGramError, gen_gaussian_operator,
                    gen_partial_dct_operator, gen_sparse_signal, solve_cg,
                    solve_direct, synthesize_instance)
-from conftest import example1_pair
+from conftest import CountingDctOperator, example1_pair
 
 
 def test_empty_active_set():
@@ -79,12 +79,6 @@ def test_active_set_validation():
         solve_direct(op, [11], np.ones(5))
 
 
-def _start(op, y, x):
-    """The full CG start (x, r, d) at x."""
-    r = y - op.apply(x)
-    return x, r, op.adjoint_apply(r)
-
-
 def test_cg_zero_iterations_from_exact_warm_start():
     op = gen_gaussian_operator(30, 60, seed=7)
     y = np.random.default_rng(8).standard_normal(30)
@@ -93,7 +87,7 @@ def test_cg_zero_iterations_from_exact_warm_start():
     x = np.zeros(60)
     x[active] = exact
     sol = solve_cg(op, active, y, noise_level=np.linalg.norm(y), max_iters=10,
-                   tol_factor=1e-5, start=_start(op, y, x))
+                   tol_factor=1e-5, start=x)
     assert sol.iterations <= 1
     assert np.max(np.abs(sol.x_active - exact)) <= 1e-8
 
@@ -120,8 +114,8 @@ def test_cg_matches_direct_on_dense_gaussian():
 
 
 def test_cg_residual_is_recomputed_consistently():
-    # residual and dual are carried by recurrence; after the two default
-    # iterations they match a fresh y - Psi x and Psi^t (y - Psi x)
+    # the residual and dual come from one apply and one adjoint at the end of
+    # the solve; they match a fresh y - Psi x and Psi^t (y - Psi x)
     rng = np.random.default_rng(15)
     for op in (gen_gaussian_operator(40, 80, seed=14), gen_partial_dct_operator(64, 256, seed=14)):
         y = rng.standard_normal(op.n)
@@ -129,9 +123,8 @@ def test_cg_residual_is_recomputed_consistently():
         for warm in (None, rng.standard_normal(8)):
             start = None
             if warm is not None:
-                x = np.zeros(op.p)
-                x[active] = warm
-                start = _start(op, y, x)
+                start = np.zeros(op.p)
+                start[active] = warm
             sol = solve_cg(op, active, y, noise_level=1.0, max_iters=2, start=start)
             assert sol.iterations == 2
             x = np.zeros(op.p)
@@ -142,22 +135,51 @@ def test_cg_residual_is_recomputed_consistently():
 
 
 def test_cg_start_with_entries_off_the_set_matches_fresh_start():
-    op = gen_partial_dct_operator(64, 256, seed=16)
+    # entries of the start off the set are dropped, at no operator cost
+    op = CountingDctOperator(gen_partial_dct_operator(64, 256, seed=16))
     rng = np.random.default_rng(17)
     y = rng.standard_normal(64)
+    cache = GramCache(op, y)
+    cache.aty   # Psi^t y up front, so the counts below are the solves' own
     x = np.zeros(256)
     x[[3, 40, 41, 90, 200]] = rng.standard_normal(5)
-    r = y - op.apply(x)
-    start = (x, r, op.adjoint_apply(r))
+    kept = x.copy()
     active = np.array([3, 41, 90, 120])   # drops 40 and 200, adds 120
-    carried = solve_cg(op, active, y, start=start, max_iters=2)
+    carried = solve_cg(op, active, y, start=x, max_iters=2, cache=cache)
+    assert (op.applies, op.adjoints) == (1, 2)
     on_set = np.zeros(256)
     on_set[active] = x[active]
-    fresh = solve_cg(op, active, y, max_iters=2, start=_start(op, y, on_set))
+    fresh = solve_cg(op, active, y, max_iters=2, start=on_set, cache=cache)
+    assert (op.applies, op.adjoints) == (2, 3)
     for a, b in ((carried.x_active, fresh.x_active), (carried.residual, fresh.residual),
                  (carried.dual, fresh.dual)):
-        assert _rel(a, b) <= 1e-12
-    assert np.array_equal(start[1], r)   # the carried pair is not modified
+        assert np.array_equal(a, b)
+    assert np.array_equal(x, kept)   # the start is not modified
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 10])
+@pytest.mark.parametrize("off_set", [False, True])
+def test_cg_solve_makes_one_apply_and_adjoint(max_iters, off_set):
+    # every iteration runs on the Gram block; the solve ends with one apply and
+    # one adjoint, whatever its iteration count and start, and the partial
+    # DCT's block comes in closed form, so no column is fetched
+    op = CountingDctOperator(gen_partial_dct_operator(64, 256, seed=18))
+    rng = np.random.default_rng(19)
+    y = rng.standard_normal(64)
+    cache = GramCache(op, y)
+    active = np.sort(rng.choice(256, size=12, replace=False))
+    start = np.zeros(256)
+    start[active[::2]] = rng.standard_normal(6)
+    if off_set:
+        start[np.setdiff1d(np.arange(256), active)[:3]] = 1.0
+    for solves in range(1, 4):
+        sol = solve_cg(op, active, y, noise_level=0.0, max_iters=max_iters, tol_factor=0.0,
+                       cache=cache, start=start)
+        assert sol.iterations == max_iters
+        assert (op.applies, op.adjoints) == (solves, solves + 1)   # and Psi^t y once
+        start = np.zeros(256)
+        start[active] = sol.x_active
+    assert op.fetched == []
 
 
 def test_cg_normal_equation_residual_monotone():
@@ -184,7 +206,7 @@ def test_cg_rejects_bad_inputs():
     with pytest.raises(ValueError):
         solve_cg(op, [], np.ones(10))
     with pytest.raises(ValueError):
-        solve_cg(op, [1, 2], np.ones(10), start=(np.ones(3), np.ones(10), np.ones(20)))
+        solve_cg(op, [1, 2], np.ones(10), start=np.ones(3))
 
 
 def _rel(a, b):
@@ -193,20 +215,38 @@ def _rel(a, b):
 
 def test_cache_matches_fresh_solves():
     # grow, shrink, repeat, an entirely new set, then sets that push the cache
-    # past its min(p, 2n) = 20 column bound and make it restart
-    op = gen_gaussian_operator(10, 40, seed=21)
+    # past its min(p, 2n) = 20 column bound and make it restart; the partial
+    # DCT's block comes in closed form and its columns only with direct solves
     y = np.random.default_rng(22).standard_normal(10)
-    cache = GramCache(op, y)
     sets = [[1, 2, 3], [1, 2, 3, 4, 5], [2, 4], [1, 2, 3], list(range(10, 20)),
             list(range(20, 30)), [0, 5, 20, 39], [], [2, 4]]
-    for active in sets:
-        cached = solve_direct(op, active, y, cache)
-        fresh = solve_direct(op, active, y)
-        assert cache.size <= cache.limit == 20
-        if active:
-            assert _rel(cached.x_active, fresh.x_active) <= 1e-12
-        assert _rel(cached.residual, fresh.residual) <= 1e-12
-        assert _rel(cached.dual, fresh.dual) <= 1e-12
+    for op in (gen_gaussian_operator(10, 40, seed=21), gen_partial_dct_operator(10, 40, seed=21)):
+        cache = GramCache(op, y)
+        for i, active in enumerate(sets):
+            if active and i % 2:   # a CG solve first: Gram rows, no columns
+                cached = solve_cg(op, active, y, max_iters=3, cache=cache)
+                fresh = solve_cg(op, active, y, max_iters=3)
+                assert _rel(cached.x_active, fresh.x_active) <= 1e-12
+            cached = solve_direct(op, active, y, cache)
+            fresh = solve_direct(op, active, y)
+            assert cache.size <= cache.limit == 20
+            if active:
+                assert _rel(cached.x_active, fresh.x_active) <= 1e-12
+            assert _rel(cached.residual, fresh.residual) <= 1e-12
+            assert _rel(cached.dual, fresh.dual) <= 1e-12
+
+
+def test_table_cache_fetches_columns_only_for_direct_solves():
+    op = CountingDctOperator(gen_partial_dct_operator(32, 128, seed=25))
+    y = np.random.default_rng(26).standard_normal(32)
+    cache = GramCache(op, y)
+    solve_cg(op, [4, 9, 30], y, cache=cache)
+    assert op.fetched == []
+    solve_direct(op, [4, 9, 30, 77], y, cache)
+    assert sorted(op.fetched) == [4, 9, 30, 77]
+    solve_cg(op, [4, 9, 30, 77, 100], y, cache=cache)
+    solve_direct(op, [9, 30, 100], y, cache)
+    assert sorted(op.fetched) == [4, 9, 30, 77, 100]
 
 
 def test_cache_rejects_other_data():

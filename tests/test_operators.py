@@ -108,6 +108,22 @@ def test_partial_dct_closed_form_norms_match_inverse_transforms(n, p, with_row_0
     assert np.max(np.abs(1.0 / op._col_scale - ref) / ref) <= 1e-12
 
 
+@pytest.mark.parametrize("n,p", [(1, 2), (3, 7), (16, 17), (100, 1000), (333, 1001),
+                                 (700, 2048)])
+@pytest.mark.parametrize("with_row_0", [True, False])
+def test_partial_dct_gram_matches_materialized_columns(n, p, with_row_0):
+    rng = np.random.default_rng(n + p)
+    rows = rng.choice(np.arange(1, p), size=n, replace=False)
+    if with_row_0:
+        rows[0] = 0
+    op = PartialDctOperator(p, rows)
+    a = np.unique(np.concatenate(([0, p - 1], rng.choice(p, size=min(p, 50)))))
+    b = np.concatenate(([p - 1, 0], rng.choice(p, size=min(p, 30))))
+    assert np.max(np.abs(op.gram(a, b) - op.columns(a).T @ op.columns(b))) <= 1e-14
+    block = op.gram(a, a)
+    assert np.array_equal(block, block.T)
+
+
 def test_partial_dct_zero_column_rejected():
     # rows 55 k for odd k all vanish on column 45 of the 5005-point transform
     # (55 * 91 = 5005); the closed form must not leave rounding there
