@@ -87,6 +87,8 @@ def omp(op, y, config, truth=None):
 def htp(op, y, config, truth=None):
     """Hard thresholding pursuit: select the T largest of |x + d|, solve on
     that set, repeat until the selection is a fixed point. Starts at x = 0."""
+    if config.T > op.n:
+        raise ValueError(f"HTP needs T <= n, got T={config.T} > n={op.n}")
     y = finite_vector("y", y)
     x = np.zeros(op.p)
     limit = 50 if config.max_iters is None else config.max_iters

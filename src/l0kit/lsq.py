@@ -2,15 +2,18 @@
 
 A ``GramCache`` serves one solve (one continuation path, one OMP run) on one
 operator and one data vector. It holds Psi^t y, the Gram block of the columns
-seen so far and each such column's slot, and the columns themselves where a
-solve needs them. Along a path the set moves by a few indices per step, so
-almost every Gram entry is reused.
+seen so far and each such column's slot. Along a path the set moves by a few
+indices per step, so almost every Gram entry is reused.
 
 The operator's type decides how the block is filled. A table operator, one
 with a closed-form ``gram(a, b)`` such as the partial DCT, fills it in O(m j)
-for j new indices against m cached ones and fetches a column only when a
-direct solve needs it. Any other operator fetches the column of every new index and
-extends the block by its cross products with the cached columns.
+for j new indices against m cached ones. Any other operator fetches the column
+of every new index and extends the block by its cross products with the cached
+columns. Either every slot also holds its column or none does: other operators
+store columns from the start, a table operator from its first nonempty direct
+solve on, which fetches the columns of every slot it holds in one call. A CG
+path makes direct solves only on the empty set, so on a table operator it
+fetches no columns.
 
 A direct solve on a set A gathers the |A| x |A| submatrix, factors it with
 LAPACK ``potrf``/``potrs`` and forms the residual from the cached columns of
@@ -20,8 +23,8 @@ residual r = y - Psi x and dual d = Psi^t r that the active-set update needs.
 
 Memory is bounded by the problem shape: the cache holds at most min(p, 2n)
 slots (8 min(p, 2n)^2 bytes of Gram block, plus 8 n min(p, 2n) of columns).
-A solve whose unseen indices would pass the bound first restarts the cache
-from the slots of its own active set, which always fit since |A| <= min(n, p).
+A solve whose unseen indices would pass the bound starts the cache over from
+its own active set, which always fits since |A| <= min(n, p).
 
 ``solve_direct(op, active, y)`` and ``solve_cg`` without a cache are the
 one-shot forms of the same code: a fresh cache that sees only A.
@@ -88,10 +91,13 @@ class GramCache:
         self._aty = None
         self._table = getattr(op, "gram", None)   # closed-form Gram entries, if any
         self._slot = np.full(op.p, -1, dtype=np.intp)  # column index -> slot, -1 if absent
-        # per slot: column index, Gram row, whether the column is stored, and the
-        # column (as a row) with its product with y; allocated on first use, the
-        # columns of a table operator only once a direct solve needs them
-        self._index = self._gram = self._stored = self._cols = self._cty = None
+        # per slot: column index and Gram row, and the column (as a row) with
+        # its product with y, which every slot holds or none does: from the
+        # start, or for a table operator from its first nonempty direct solve
+        self._index, self._gram = np.empty(0, dtype=np.intp), np.empty((0, 0))
+        self._cols = self._cty = None
+        if self._table is None:
+            self._cols, self._cty = np.empty((0, op.n)), np.empty(0)
         self._capacity = self.size = 0
 
     @property
@@ -107,29 +113,18 @@ class GramCache:
         return slots, self._gram.take(slots, 0).take(slots, 1)
 
     def _slots(self, active):
-        """Slots of the sorted index set ``active``, filling unseen Gram rows."""
+        """Slots of the sorted index set ``active``, filling unseen Gram rows.
+        A cache that this set would overfill starts over from the set alone."""
         slots = self._slot[active]
         missing = active[slots < 0]
         if missing.size:
             if self.size + missing.size > self.limit:
-                self._restart(slots[slots >= 0])
+                self._slot[self._index[:self.size]] = -1
+                self.size = 0
+                missing = active
             self._add(missing)
             slots = self._slot[active]
         return slots
-
-    def _restart(self, keep):
-        """Keep only the slots ``keep``, compacted to the front, in their order."""
-        m = keep.size
-        index = self._index[keep]
-        self._slot[self._index[:self.size]] = -1
-        self._gram[:m, :m] = self._gram.take(keep, 0).take(keep, 1)
-        self._stored[:m] = self._stored[keep]
-        if self._cols is not None:
-            self._cols[:m] = self._cols[keep]
-            self._cty[:m] = self._cty[keep]
-        self._index[:m] = index
-        self._slot[index] = np.arange(m)
-        self.size = m
 
     def _add(self, indices):
         m, j = self.size, indices.size
@@ -140,55 +135,38 @@ class GramCache:
             step = self._capacity if self._cols is not None else self._capacity // 4
             self._grow(min(self.limit, max(m + j, self._capacity + step)))
         self._index[m:m + j] = indices
+        if self._cols is not None:
+            self._fetch(m, m + j)
         if self._table is None:
             new = self._cols[m:m + j]
-            new[...] = self.op.columns(indices).T
             if m:
                 cross = self._cols[:m] @ new.T
                 self._gram[:m, m:m + j] = cross
                 self._gram[m:m + j, :m] = cross.T
             self._gram[m:m + j, m:m + j] = new @ new.T
-            self._cty[m:m + j] = new @ self.y
         else:
             rows = self._table(indices, self._index[:m + j])
             self._gram[m:m + j, :m + j] = rows
             self._gram[:m, m:m + j] = rows[:, :m].T
-        self._stored[m:m + j] = self._table is None
         self._slot[indices] = np.arange(m, m + j)
         self.size = m + j
 
+    def _fetch(self, lo, hi):
+        """Store the columns of slots lo..hi-1 and their products with y."""
+        new = self._cols[lo:hi]
+        new[...] = self.op.columns(self._index[lo:hi]).T
+        self._cty[lo:hi] = new @ self.y
+
     def _grow(self, cap):
         m = self.size
-        gram, stored = np.empty((cap, cap)), np.empty(cap, dtype=bool)
-        index = np.empty(cap, dtype=np.intp)
-        if m:
-            gram[:m, :m] = self._gram[:m, :m]
-            stored[:m], index[:m] = self._stored[:m], self._index[:m]
-        self._gram, self._stored, self._index = gram, stored, index
-        if self._table is None or self._cols is not None:
-            self._grow_columns(cap)
-        self._capacity = cap
-
-    def _grow_columns(self, cap):
-        m = self.size if self._cols is not None else 0
-        cols, cty = np.empty((cap, self.op.n)), np.empty(cap)
-        if m:
+        gram, index = np.empty((cap, cap)), np.empty(cap, dtype=np.intp)
+        gram[:m, :m], index[:m] = self._gram[:m, :m], self._index[:m]
+        self._gram, self._index = gram, index
+        if self._cols is not None:
+            cols, cty = np.empty((cap, self.op.n)), np.empty(cap)
             cols[:m], cty[:m] = self._cols[:m], self._cty[:m]
-        self._cols, self._cty = cols, cty
-
-    def _columns(self, slots):
-        """Cached columns of ``slots`` (as rows) and their products with y,
-        fetching the columns a table operator has not yet stored."""
-        if self._table is not None:   # other operators store a column with its slot
-            missing = slots[~self._stored.take(slots)]
-            if missing.size:
-                if self._cols is None:
-                    self._grow_columns(self._capacity)
-                new = self.op.columns(self._index[missing]).T
-                self._cols[missing] = new
-                self._cty[missing] = new @ self.y
-                self._stored[missing] = True
-        return self._cols.take(slots, 0), self._cty.take(slots)
+            self._cols, self._cty = cols, cty
+        self._capacity = cap
 
     def _solve(self, active):
         """Cholesky solve of Psi_A^t Psi_A x_A = Psi_A^t y on a sorted index set."""
@@ -204,9 +182,12 @@ class GramCache:
         factor, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
         if info != 0 or float(factor.diagonal().min()) ** 2 <= GRAM_PIVOT_TOL * scale:
             raise SingularGramError(active.size)
-        cols, cty = self._columns(slots)
-        x_a, _ = dpotrs(factor, cty, lower=1)
-        residual = self.y - x_a @ cols
+        if self._cols is None:   # a table operator's first direct solve: store them all
+            self._cols = np.empty((self._capacity, self.op.n))
+            self._cty = np.empty(self._capacity)
+            self._fetch(0, self.size)
+        x_a, _ = dpotrs(factor, self._cty.take(slots), lower=1)
+        residual = self.y - x_a @ self._cols.take(slots, 0)
         return RestrictedLsqSolution(x_a, residual, self.op.adjoint_apply(residual), 0,
                                      "direct")
 

@@ -48,15 +48,15 @@ class SensingOperator:
     def adjoint_apply(self, r):
         raise NotImplementedError
 
-    def column(self, i):
-        raise NotImplementedError
-
     def columns(self, indices):
-        """Dense n x k submatrix for the given column indices."""
+        """Dense n x k submatrix for the given column indices; by default the
+        apply of each basis vector."""
         indices = np.asarray(indices, dtype=np.intp)
         out = np.empty((self.n, indices.size))
         for j, i in enumerate(indices):
-            out[:, j] = self.column(int(i))
+            e = np.zeros(self.p)
+            e[i] = 1.0
+            out[:, j] = self.apply(e)
         return out
 
     def dual(self, y, x):
@@ -100,9 +100,6 @@ class DenseOperator(SensingOperator):
 
     def adjoint_apply(self, r):
         return self.mat.T @ self._check_adjoint_dim(r)
-
-    def column(self, i):
-        return self.mat[:, i].copy()
 
     def columns(self, indices):
         indices = np.asarray(indices, dtype=np.intp)
@@ -157,10 +154,15 @@ class PartialDctOperator(SensingOperator):
         z[self.rows] = r
         return idct(z, norm="ortho") * self._col_scale
 
-    def column(self, i):
-        e = np.zeros(self.p)
-        e[i] = self._col_scale[i]
-        return dct(e, norm="ortho")[self.rows]
+    def columns(self, indices):
+        # a transform per column, not via apply: a trace keeps fetches apart from applies
+        indices = np.asarray(indices, dtype=np.intp)
+        out = np.empty((self.n, indices.size))
+        for j, i in enumerate(indices):
+            e = np.zeros(self.p)
+            e[i] = self._col_scale[i]
+            out[:, j] = dct(e, norm="ortho")[self.rows]
+        return out
 
     def gram(self, a, b):
         """The block columns(a)^t columns(b), with no column materialized.
@@ -177,7 +179,7 @@ class PartialDctOperator(SensingOperator):
 
 class CustomOperator(SensingOperator):
     """Sensing operator from user-supplied apply/adjoint callables; a column
-    is the apply of a basis vector."""
+    is the apply of a basis vector (the inherited ``columns``)."""
 
     def __init__(self, n, p, apply_fn, adjoint_fn, columns_normalized=False):
         super().__init__(n, p, columns_normalized)
@@ -189,11 +191,6 @@ class CustomOperator(SensingOperator):
 
     def adjoint_apply(self, r):
         return np.asarray(self._adjoint_fn(self._check_adjoint_dim(r)), dtype=float)
-
-    def column(self, i):
-        e = np.zeros(self.p)
-        e[i] = 1.0
-        return self.apply(e)
 
 
 def gen_gaussian_operator(n, p, seed):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import l0kit.baselines as baselines_module
-from l0kit import (CONVERGED, CustomOperator, DenseOperator, GreedyConfig, SolverConfig,
-                   cosamp, gen_gaussian_operator, gen_sparse_signal, htp, iht,
+from l0kit import (CONVERGED, CustomOperator, DenseOperator, GreedyConfig, SingularGramError,
+                   SolverConfig, cosamp, gen_gaussian_operator, gen_sparse_signal, htp, iht,
                    mutual_coherence, omp, pdasc, solve_cg, solve_direct, synthesize_instance)
 from l0kit.baselines import keep_largest
 from l0kit.harness import records_csv
@@ -87,6 +87,27 @@ def test_omp_rejects_t_above_n():
     op = gen_gaussian_operator(5, 10, seed=0)
     with pytest.raises(ValueError):
         omp(op, np.ones(5), GreedyConfig(T=6))
+
+
+def test_htp_rejects_t_above_n():
+    op = gen_gaussian_operator(10, 40, seed=1)
+    y = np.random.default_rng(1).standard_normal(10)
+    with pytest.raises(ValueError, match="HTP needs T <= n, got T=12 > n=10"):
+        htp(op, y, GreedyConfig(T=12))
+
+
+def test_duplicate_columns_contract():
+    # HTP and CoSaMP raise once they select both copies; PDASC reports the abort
+    mat = gen_gaussian_operator(20, 40, seed=3).mat.copy()
+    mat[:, 1] = mat[:, 0]
+    op = DenseOperator(mat, columns_normalized=True)
+    x = np.zeros(40)
+    x[[0, 7, 12]] = [5.0, -3.0, 2.0]
+    y = op.apply(x)
+    for solver in (htp, cosamp):
+        with pytest.raises(SingularGramError):
+            solver(op, y, GreedyConfig(T=3))
+    assert pdasc(op, y, SolverConfig(N=50, eps_bar=1e-6)).status == "singular_gram_abort"
 
 
 def test_adaptive_iht_residual_never_increases():

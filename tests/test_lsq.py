@@ -249,6 +249,32 @@ def test_table_cache_fetches_columns_only_for_direct_solves():
     assert sorted(op.fetched) == [4, 9, 30, 77, 100]
 
 
+def test_table_cache_stores_every_column_from_its_first_direct_solve():
+    # every slot holds its column or none does: the first nonempty direct
+    # solve fetches the columns of every slot the cache holds, in one call
+    op = CountingDctOperator(gen_partial_dct_operator(32, 128, seed=25))
+    y = np.random.default_rng(26).standard_normal(32)
+    cache = GramCache(op, y)
+    solve_cg(op, [4, 9, 30, 50], y, cache=cache)
+    solve_direct(op, [], y, cache)
+    assert op.fetched == []
+    solve_direct(op, [4, 9], y, cache)
+    assert op.fetched == [4, 9, 30, 50]
+
+
+def test_full_cache_starts_over_from_the_solve_set():
+    op = gen_gaussian_operator(10, 40, seed=21)
+    y = np.random.default_rng(22).standard_normal(10)
+    cache = GramCache(op, y)
+    solve_direct(op, list(range(10)), y, cache)
+    solve_cg(op, list(range(10, 18)), y, cache=cache)
+    assert cache.size == 18 and cache.limit == 20
+    active = [0, 1, 18, 19, 20]   # 3 unseen indices pass the limit
+    cached = solve_direct(op, active, y, cache)
+    assert cache.size == len(active)
+    assert _rel(cached.x_active, solve_direct(op, active, y).x_active) <= 1e-12
+
+
 def test_cache_rejects_other_data():
     op = gen_gaussian_operator(6, 12, seed=23)
     cache = GramCache(op, np.ones(6))

@@ -5,7 +5,7 @@ import pytest
 
 from scipy.fft import idct
 
-from l0kit import (DenseOperator, PartialDctOperator, gen_bernoulli_operator,
+from l0kit import (CustomOperator, DenseOperator, PartialDctOperator, gen_bernoulli_operator,
                    gen_gaussian_operator, gen_partial_dct_operator, load_operator_binary,
                    mutual_coherence, save_operator_binary, save_operator_csv)
 
@@ -17,7 +17,7 @@ def test_columns_have_unit_norm(gen):
     op = gen(48, 96, seed=3)
     assert op.columns_normalized
     for i in range(op.p):
-        assert abs(np.linalg.norm(op.column(i)) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(op.columns([i])[:, 0]) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("gen", ALL_GENERATORS)
@@ -32,12 +32,22 @@ def test_adjoint_probe_identity(gen):
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
-def test_dense_column_matches_apply_on_basis_vector():
-    op = gen_gaussian_operator(10, 20, seed=0)
-    for i in range(op.p):
+def _custom_gaussian(n, p, seed):
+    base = gen_gaussian_operator(n, p, seed)
+    return CustomOperator(n, p, base.apply, base.adjoint_apply)
+
+
+@pytest.mark.parametrize("gen", [gen_gaussian_operator, gen_partial_dct_operator,
+                                 _custom_gaussian], ids=["gaussian", "partial_dct", "custom"])
+def test_columns_match_apply_on_basis_vectors(gen):
+    op = gen(10, 20, seed=0)
+    idx = [3, 0, 19, 7, 3]   # unsorted, with a repeat
+    cols = op.columns(idx)
+    assert cols.shape == (10, 5)
+    for j, i in enumerate(idx):
         e = np.zeros(op.p)
         e[i] = 1.0
-        assert np.array_equal(op.column(i), op.apply(e))
+        assert np.array_equal(cols[:, j], op.apply(e))
 
 
 def test_gaussian_1x1_is_sign():
@@ -209,7 +219,7 @@ def test_dense_operator_dim_checks():
 
 
 def test_custom_operator_wraps_callables():
-    from l0kit import CustomOperator, solve_direct
+    from l0kit import solve_direct
 
     base = gen_gaussian_operator(12, 24, seed=8)
     op = CustomOperator(12, 24, base.apply, base.adjoint_apply,
@@ -220,7 +230,7 @@ def test_custom_operator_wraps_callables():
     assert np.array_equal(op.apply(x), base.apply(x))
     assert abs(op.apply(x) @ r - x @ op.adjoint_apply(r)) <= 1e-10
     for i in (0, 5, 23):
-        assert np.allclose(op.column(i), base.column(i), atol=1e-14)
+        assert np.allclose(op.columns([i])[:, 0], base.columns([i])[:, 0], atol=1e-14)
     # a solver-facing surface: restricted solves work through the wrapper
     sol = solve_direct(op, [1, 4], base.apply(x))
     assert sol.x_active.shape == (2,)
