@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lsq import GramCache, finite_vector, solve_direct
-from .pdasc import CONVERGED, MAX_ITERS, LambdaRecord, SolveReport, check_count
+from .lsq import GramCache, check_count, finite_vector, solve_direct
+from .pdasc import CONVERGED, MAX_ITERS, LambdaRecord, SolveReport
 
 __all__ = ["GreedyConfig", "omp", "htp", "iht", "cosamp"]
 

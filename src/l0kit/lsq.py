@@ -17,9 +17,12 @@ fetches no columns.
 
 A direct solve on a set A gathers the |A| x |A| submatrix, factors it with
 LAPACK ``potrf``/``potrs`` and forms the residual from the cached columns of
-A. A CG solve runs on the same submatrix: each iteration is one |A| x |A|
-matvec, and the solve ends with one apply and one adjoint for the exact
-residual r = y - Psi x and dual d = Psi^t r that the active-set update needs.
+A. A CG solve gathers nothing: it runs on the cache's whole m x m block, m the
+number of cached slots, with vectors that vanish off A's slots, and each
+iteration is one product with that block masked to those slots. Along a path
+the cache holds about the current set, so m stays close to |A|. The solve ends
+with one apply and one adjoint for the exact residual r = y - Psi x and dual
+d = Psi^t r that the active-set update needs.
 
 Memory is bounded by the problem shape: the cache holds at most min(p, 2n)
 slots (8 min(p, 2n)^2 bytes of Gram block, plus 8 n min(p, 2n) of columns).
@@ -30,6 +33,8 @@ its own active set, which always fits since |A| <= min(n, p).
 one-shot forms of the same code: a fresh cache that sees only A.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +74,18 @@ class RestrictedLsqSolution:
     residual_norms: list | None = None  # CG normal-equation residual history
 
 
+def check_count(name, value):
+    """Raise ValueError unless ``value`` is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_nonnegative(name, value):
+    """Raise ValueError unless ``value`` is a finite real >= 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def finite_vector(name, v):
     """``v`` as a float array, or a ValueError naming ``name`` if any entry is
     NaN or infinite."""
@@ -106,11 +123,6 @@ class GramCache:
         if self._aty is None:
             self._aty = self.op.adjoint_apply(self.y)
         return self._aty
-
-    def block(self, active):
-        """Slots and Gram submatrix of the sorted index set ``active``."""
-        slots = self._slots(active)
-        return slots, self._gram.take(slots, 0).take(slots, 1)
 
     def _slots(self, active):
         """Slots of the sorted index set ``active``, filling unseen Gram rows.
@@ -175,7 +187,8 @@ class GramCache:
                                          "direct")
         if active.size > self.op.n:
             raise SingularGramError(active.size)
-        slots, gram = self.block(active)
+        slots = self._slots(active)
+        gram = self._gram.take(slots, 0).take(slots, 1)
         scale = float(gram.diagonal().max())
         # the gathered block is symmetric, so its transpose is the same matrix
         # in the column-major order LAPACK factors in place
@@ -205,35 +218,49 @@ def solve_cg(op, active, y, noise_level=0.0, max_iters=2, tol_factor=1e-5, cache
              start=None):
     """Conjugate gradients on the normal equations over the active set.
 
-    Runs on the cached Gram block G_AA with right-hand side (Psi^t y)_A,
-    starting from ``start[A]`` for a length-p ``start`` (its entries off A are
-    dropped) or from zero when omitted, and stops when the normal-equation
-    residual drops to ``tol_factor * noise_level`` or after ``max_iters``
-    iterations, whichever comes first. Bounded iterations are by design, so
-    hitting the cap is not an error.
+    Runs on the cache's m x m Gram block G in place, with right-hand side
+    Psi^t y on A's slots S, starting from ``start[A]`` for a length-p ``start``
+    (its entries off A are dropped) or from zero when omitted. Every CG vector
+    vanishes off S and each product is G v masked to S, so the iterates are
+    those of CG on G_AA, and no block is gathered. The solve stops when the
+    normal-equation residual drops to ``tol_factor * noise_level`` or after
+    ``max_iters`` iterations, whichever comes first. Bounded iterations are by
+    design, so hitting the cap is not an error.
 
-    Each iteration is one |A| x |A| matvec. The solve ends with one apply and
-    one adjoint, so the returned residual y - Psi x and dual Psi^t r are
-    exact, whatever the iteration count or start.
+    Each iteration is one m x m matvec. The solve ends with one apply and one
+    adjoint, so the returned residual y - Psi x and dual Psi^t r are exact,
+    whatever the iteration count or start.
     """
+    check_nonnegative("noise_level", noise_level)
+    check_nonnegative("tol_factor", tol_factor)
+    check_count("max_iters", max_iters)
     active = _as_index_set(active, op.p)
     cache = _cache_for(op, y, cache)
     y = cache.y
     if active.size == 0:
         raise ValueError("CG solve needs a nonempty active set")
-    if start is not None and np.shape(start) != (op.p,):
-        raise ValueError(f"start must be a length-{op.p} vector")
-    z = np.zeros(active.size) if start is None else np.asarray(start, dtype=float)[active]
-    _, gram = cache.block(active)
+    if start is not None:
+        if np.shape(start) != (op.p,):
+            raise ValueError(f"start must be a length-{op.p} vector")
+        start = finite_vector("start", np.asarray(start)[active])
+    slots = cache._slots(active)
+    m = cache.size
+    gram = cache._gram[:m, :m]
+    on = np.zeros(m)
+    on[slots] = 1.0
+    z, grad = np.zeros(m), np.zeros(m)
+    grad[slots] = cache.aty[active]
+    if start is not None:
+        z[slots] = start
+        grad -= on * (gram @ z)
 
     tol = float(tol_factor) * float(noise_level)
-    grad = cache.aty[active] - gram @ z
     rr = float(grad @ grad)
     norms = [np.sqrt(rr)]
     p_dir = grad
     iters = 0
     while norms[-1] > tol and iters < max_iters:
-        q = gram @ p_dir
+        q = on * (gram @ p_dir)
         denom = float(p_dir @ q)
         if denom <= 0.0:
             break  # numerically semidefinite direction; stop where we are
@@ -245,10 +272,11 @@ def solve_cg(op, active, y, noise_level=0.0, max_iters=2, tol_factor=1e-5, cache
         p_dir = grad + (rr_new / rr) * p_dir
         rr = rr_new
         iters += 1
+    x_a = z.take(slots)
     x = np.zeros(op.p)
-    x[active] = z
+    x[active] = x_a
     r = y - op.apply(x)
-    return RestrictedLsqSolution(z, r, op.adjoint_apply(r), iters, "cg", norms)
+    return RestrictedLsqSolution(x_a, r, op.adjoint_apply(r), iters, "cg", norms)
 
 
 def _cache_for(op, y, cache):

@@ -13,12 +13,12 @@ so the path is bitwise that of the repeat (see ``pdas_inner``).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lsq import GramCache, SingularGramError, solve_cg, solve_direct
+from .lsq import (GramCache, SingularGramError, check_count, check_nonnegative, solve_cg,
+                  solve_direct)
 
 __all__ = [
     "CONVERGED", "GRID_EXHAUSTED", "SINGULAR_GRAM_ABORT", "MAX_ITERS",
@@ -106,18 +106,6 @@ def continuation_grid(lam0, lam_min, N):
     return grid, ratio ** (1.0 / N)
 
 
-def check_count(name, value):
-    """Raise ValueError unless ``value`` is an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def check_nonnegative(name, value):
-    """Raise ValueError unless ``value`` is a finite real >= 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
 @dataclass
 class SolverConfig:
     """Continuation-solver knobs.
@@ -145,9 +133,19 @@ class SolverConfig:
     def resolve_grid(self, op, y, aty=None):
         """The lambda grid and its ratio; ``aty`` is Psi^t y when the caller has it."""
         aty = op.adjoint_apply(y) if aty is None else aty
-        lam0 = 0.5 * float(np.max(np.abs(aty))) ** 2
-        if lam0 <= 0:
+        top = float(np.max(np.abs(aty)))
+        if top == 0:
             raise ValueError("lam0 must be positive (is the data identically zero?)")
+        try:
+            lam0 = 0.5 * top ** 2
+        except OverflowError:
+            lam0 = math.inf
+        if not (math.isfinite(lam0) and 1e-15 * lam0 > 0):
+            # lambda is in squared data units, so the grid, and any lambda
+            # reported on it, must fit in a float
+            raise ValueError(f"data scale out of range: ||Psi^t y||_inf = {top:.3g} puts "
+                             f"lam0 = 0.5 ||Psi^t y||_inf^2 outside the float range; "
+                             f"rescale y and eps_bar")
         return continuation_grid(lam0, 1e-15 * lam0, self.N)
 
 
@@ -338,15 +336,15 @@ def pdasc(op, y, config, truth=None):
                          "columns_normalized=False")
     cache = GramCache(op, y)
     y = cache.y
-    res_norm = float(np.linalg.norm(y))   # at x = 0
     empty = np.zeros(0, dtype=np.intp)
     if float(np.max(np.abs(cache.aty))) == 0.0:
         # data uncorrelated with every column: x = 0 is optimal at any lambda
-        rec = LambdaRecord.build(1, 0.0, empty, 0, res_norm, truth)
+        rec = LambdaRecord.build(1, 0.0, empty, 0, float(np.linalg.norm(y)), truth)
         status = CONVERGED if rec.residual <= config.eps_bar else GRID_EXHAUSTED
         return SolveReport(x_final=np.zeros(op.p), support_final=empty,
                            lam_final=0.0, records=[rec], status=status, solver="pdasc")
     grid, _rho = config.resolve_grid(op, y, cache.aty)
+    res_norm = float(np.linalg.norm(y))   # at x = 0
     cg = None if config.lsq_mode == "direct" else {"noise_level": config.eps_bar}
 
     x, r, d = np.zeros(op.p), y, cache.aty   # the solution on the empty set

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,30 @@ def test_cg_rejects_bad_inputs():
         solve_cg(op, [1, 2], np.ones(10), start=np.ones(3))
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"noise_level": np.nan}, "noise_level"), ({"noise_level": np.inf}, "noise_level"),
+    ({"noise_level": -1.0}, "noise_level"), ({"tol_factor": np.nan}, "tol_factor"),
+    ({"tol_factor": -1e-5}, "tol_factor"), ({"max_iters": -3}, "max_iters"),
+    ({"max_iters": 0}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
+    ({"start": np.where(np.arange(20) == 2, np.nan, 0.0)}, "start"),   # NaN on the set
+], ids=["noise-nan", "noise-inf", "noise-negative", "tol-nan", "tol-negative",
+        "iters-negative", "iters-zero", "iters-fractional", "start-nan"])
+def test_cg_rejects_bad_settings(setting, match):
+    op = gen_gaussian_operator(10, 20, seed=0)
+    y = np.random.default_rng(1).standard_normal(10)
+    with pytest.raises(ValueError, match=match):
+        solve_cg(op, [1, 2, 5], y, **setting)
+
+
+def test_cg_checks_the_start_on_the_set_only():
+    op = gen_gaussian_operator(10, 20, seed=0)
+    y = np.random.default_rng(1).standard_normal(10)
+    start = np.zeros(20)
+    start[7] = np.nan   # dropped with every other entry off the set
+    sol = solve_cg(op, [1, 2, 5], y, start=start)
+    assert np.isfinite(sol.x_active).all()
+
+
 def _rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
@@ -234,6 +260,57 @@ def test_cache_matches_fresh_solves():
                 assert _rel(cached.x_active, fresh.x_active) <= 1e-12
             assert _rel(cached.residual, fresh.residual) <= 1e-12
             assert _rel(cached.dual, fresh.dual) <= 1e-12
+
+
+@pytest.mark.parametrize("op", [gen_gaussian_operator(64, 256, seed=30),
+                                gen_partial_dct_operator(64, 256, seed=30)],
+                         ids=["dense", "dct"])
+def test_cg_on_a_wider_cache_matches_a_one_shot_solve(op):
+    # the cache holds a disjoint set and a superset of A, so A's slots are
+    # spread over a block larger than |A|; the masked products give the
+    # iterates of CG on A alone
+    rng = np.random.default_rng(31)
+    y = rng.standard_normal(64)
+    active = np.array([5, 17, 40, 41, 90, 133, 200, 251])
+    cache = GramCache(op, y)
+    solve_cg(op, [0, 1, 60, 61, 62], y, cache=cache)
+    solve_cg(op, np.union1d(active, [6, 18, 39, 100, 134, 255]), y, cache=cache)
+    assert cache.size > active.size and np.any(np.diff(np.sort(cache._slot[active])) > 1)
+    start = np.zeros(256)
+    start[active[::3]] = rng.standard_normal(3)
+    for warm in (None, start):
+        cached = solve_cg(op, active, y, noise_level=0.0, max_iters=6, tol_factor=0.0,
+                          cache=cache, start=warm)
+        fresh = solve_cg(op, active, y, noise_level=0.0, max_iters=6, tol_factor=0.0,
+                         start=warm)
+        assert cached.iterations == fresh.iterations == 6
+        assert _rel(cached.x_active, fresh.x_active) <= 1e-13
+        assert _rel(np.array(cached.residual_norms), np.array(fresh.residual_norms)) <= 1e-13
+        assert _rel(cached.residual, fresh.residual) <= 1e-13
+
+
+@pytest.mark.parametrize("generator", [gen_gaussian_operator, gen_partial_dct_operator],
+                         ids=["dense", "dct"])
+def test_cg_on_a_warm_cache_copies_no_gram_block(generator):
+    # one |A| x |A| block is 8 |A|^2 bytes; a CG solve on a warm cache
+    # multiplies by the cache's block in place, here a strided view wider
+    # than A, and allocates less than that
+    op = generator(400, 1600, seed=32)
+    rng = np.random.default_rng(33)
+    y = rng.standard_normal(op.n)
+    active = np.sort(rng.choice(op.p, size=300, replace=False))
+    cache = GramCache(op, y)
+    solve_cg(op, active, y, cache=cache)
+    solve_cg(op, np.union1d(active, np.setdiff1d(np.arange(op.p), active)[:20]), y,
+             cache=cache)
+    assert active.size < cache.size < cache._gram.shape[0]
+    tracemalloc.start()
+    try:
+        solve_cg(op, active, y, cache=cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * active.size ** 2
 
 
 def test_table_cache_fetches_columns_only_for_direct_solves():

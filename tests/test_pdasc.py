@@ -204,6 +204,31 @@ def test_pdasc_zero_data_terminates_immediately():
     assert np.array_equal(report.x_final, np.zeros(20))
 
 
+@pytest.mark.parametrize("mode", ["direct", "cg"])
+def test_pdasc_is_scale_equivariant(mode):
+    # lambda is in squared data units: scaling y and eps_bar by c scales x by c
+    # while lam0 = 0.5 ||Psi^t y||_inf^2 is a float; past that range the data
+    # scale is named, and data that is zero keeps its own message
+    op = gen_gaussian_operator(60, 120, seed=51)
+    truth = gen_sparse_signal(120, 8, 10.0, seed=52)
+    inst = synthesize_instance(op, truth, 1e-2, seed=53)
+    base = pdasc(op, inst.y, SolverConfig(N=60, eps_bar=inst.noise_level, lsq_mode=mode))
+    assert base.status == CONVERGED
+    for c in (1e-150, 1e150):
+        report = pdasc(op, c * inst.y,
+                       SolverConfig(N=60, eps_bar=c * inst.noise_level, lsq_mode=mode))
+        assert report.status == base.status
+        assert np.array_equal(report.support_final, base.support_final)
+        rel = np.linalg.norm(report.x_final / c - base.x_final) / np.linalg.norm(base.x_final)
+        assert rel <= 1e-12
+    for c in (1e-200, 1e200):
+        cfg = SolverConfig(N=60, eps_bar=c * inst.noise_level, lsq_mode=mode)
+        with pytest.raises(ValueError, match="data scale out of range.*rescale y and eps_bar"):
+            pdasc(op, c * inst.y, cfg)
+    with pytest.raises(ValueError, match="identically zero"):
+        SolverConfig(N=60, eps_bar=1.0).resolve_grid(op, np.zeros(60))
+
+
 def test_pdasc_trivial_discrepancy_stops_at_first_lambda():
     op = gen_gaussian_operator(10, 20, seed=22)
     y = np.random.default_rng(23).standard_normal(10)
