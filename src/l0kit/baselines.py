@@ -11,7 +11,8 @@ OMP halts after T columns, HTP when its selected support repeats (Foucart
 after Blumensath & Davies 2010, also when no step size it tries keeps the
 residual from growing), and CoSaMP when its pruned support equals the
 previous iterate's (Needell & Tropp 2009). HTP and fixed-step IHT take the
-unit step x + d, which assumes unit-norm columns.
+unit step x + d, which assumes unit-norm columns, so both reject an operator
+with ``columns_normalized`` False.
 """
 
 import math
@@ -86,9 +87,14 @@ def omp(op, y, config, truth=None):
 
 def htp(op, y, config, truth=None):
     """Hard thresholding pursuit: select the T largest of |x + d|, solve on
-    that set, repeat until the selection is a fixed point. Starts at x = 0."""
+    that set, repeat until the selection is a fixed point. Starts at x = 0.
+    The unit step x + d assumes unit-norm columns, so an operator with
+    ``columns_normalized`` False is rejected."""
     if config.T > op.n:
         raise ValueError(f"HTP needs T <= n, got T={config.T} > n={op.n}")
+    if not op.columns_normalized:
+        raise ValueError("htp needs unit-norm columns, but the operator has "
+                         "columns_normalized=False")
     y = finite_vector("y", y)
     x = np.zeros(op.p)
     limit = 50 if config.max_iters is None else config.max_iters

@@ -171,14 +171,26 @@ def psnr(x_hat, x_ref):
     return 10.0 * math.log10(v**2 / mse)
 
 
-def make_instance(config, T, trial):
-    """Deterministically synthesize the instance for one trial."""
-    if trial < 0:
-        raise ConfigError(f"trial must be >= 0, got {trial}")
+def make_instance(config, T, trial, operator=None):
+    """Deterministically synthesize the T-sparse instance of one trial.
+
+    The trial's seed, config.seed + trial, spawns the operator, signal and
+    noise streams, so the operator depends on the trial alone and every T of
+    a trial shares it. ``operator``, when given, is that operator as an
+    earlier call for the same trial returned it; it is used instead of
+    rebuilding it, and the instance is the same bitwise either way."""
     n, p = config.matrix["n"], config.matrix["p"]
+    if not (_is_int(T) and 1 <= T <= n):
+        raise ConfigError(f"sparsity T={T!r} must be an integer in 1..n={n}")
+    if not (_is_int(trial) and trial >= 0):
+        raise ConfigError(f"trial must be an integer >= 0, got {trial!r}")
+    if operator is not None and operator.shape != (n, p):
+        raise ConfigError(f"operator shape {operator.shape} does not match the config's "
+                          f"(n, p) = {(n, p)}")
     run_seed = config.seed + trial
     op_seed, sig_seed, noise_seed = np.random.SeedSequence(run_seed).spawn(3)
-    op = _MATRIX_GENERATORS[config.matrix["kind"]](n, p, op_seed)
+    generate = _MATRIX_GENERATORS[config.matrix["kind"]]
+    op = generate(n, p, op_seed) if operator is None else operator
     truth = gen_sparse_signal(p, T, config.dynamic_range, sig_seed)
     inst = synthesize_instance(op, truth, config.sigma, noise_seed)
     return inst, run_seed
@@ -253,21 +265,30 @@ def _run_trial(inst, x_true, run, clock, **cell):
 
 
 def run_sweep(config, clock=time.perf_counter):
-    """Run every (T, solver, trial) cell of the config, building each (T, trial)
-    instance once for all solvers; returns per-trial rows in (T, solver, trial)
-    order and per-cell aggregates (recovery probability, error medians, status
-    counts) in (T, solver) order."""
-    rows, aggregates = [], []
-    for T in config.t_values():
-        cells = [[] for _ in config.runners]   # by entry index: labels may repeat
-        for trial in range(config.trials):
-            inst, run_seed = make_instance(config, T, trial)
+    """Run every (T, solver, trial) cell of the config; returns per-trial rows
+    in (T, solver, trial) order and per-cell aggregates (recovery probability,
+    error medians, status counts) in (T, solver) order.
+
+    The sweep runs trial-major. A trial's operator depends on the trial
+    alone, so it is built once, by the trial's first instance, and passed to
+    the instances of the other T. Each (T, trial) instance is built once and
+    shared by every solver entry."""
+    t_values = config.t_values()
+    # cells[t][s]: the rows of T t_values[t] and solver entry s (labels may repeat)
+    cells = [[[] for _ in config.runners] for _ in t_values]
+    for trial in range(config.trials):
+        op = None
+        for T, by_solver in zip(t_values, cells):
+            inst, run_seed = make_instance(config, T, trial, operator=op)
+            op = inst.operator
             x_true = inst.truth.dense()
-            for cell, (solver_id, run) in zip(cells, config.runners):
+            for cell, (solver_id, run) in zip(by_solver, config.runners):
                 cell.append(_run_trial(inst, x_true, run, clock, solver=solver_id, T=T,
                                        R=config.dynamic_range, sigma=config.sigma,
                                        trial_seed=run_seed))
-        for cell, (solver_id, _) in zip(cells, config.runners):
+    rows, aggregates = [], []
+    for T, by_solver in zip(t_values, cells):
+        for cell, (solver_id, _) in zip(by_solver, config.runners):
             rows.extend(cell)
             statuses = Counter(r.status for r in cell)
             aggregates.append({

@@ -24,10 +24,14 @@ the cache holds about the current set, so m stays close to |A|. The solve ends
 with one apply and one adjoint for the exact residual r = y - Psi x and dual
 d = Psi^t r that the active-set update needs.
 
-Memory is bounded by the problem shape: the cache holds at most min(p, 2n)
-slots (8 min(p, 2n)^2 bytes of Gram block, plus 8 n min(p, 2n) of columns).
-A solve whose unseen indices would pass the bound starts the cache over from
-its own active set, which always fits since |A| <= min(n, p).
+Memory grows with the largest set a path reaches, not with the problem
+shape. A block of m slots takes 8 m^2 bytes, plus 8 n m of columns when they
+are stored, and m follows the sets the path visits. The slot limit,
+min(p, 2n), only bounds how many indices the cache collects before it starts
+over from a solve's own active set, which always fits since |A| <= min(n, p);
+at n = 2^16 that limit is a 137 GB block, so it bounds nothing a machine
+holds. A CG path on a 2^16 x 2^18 partial DCT that ends at |A| = 6000 was
+measured at a 729 MB peak resident size.
 
 ``solve_direct(op, active, y)`` and ``solve_cg`` without a cache are the
 one-shot forms of the same code: a fresh cache that sees only A.

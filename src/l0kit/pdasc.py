@@ -4,7 +4,8 @@ The inner loop alternates a restricted least-squares solve on the current
 active set with an explicit dual update and a hard-threshold re-selection of
 the set; the outer loop drives the threshold scale lambda down a geometric
 grid, warm-starting every problem from the previous one, and stops at the
-first lambda whose residual reaches the discrepancy level.
+first lambda whose step ends at a fixed point of the selection with its
+residual at the discrepancy level.
 
 A direct path solves each active set once: a step that starts on the set the
 previous step has just solved re-selects from the carried pair instead of
@@ -319,8 +320,11 @@ def pdasc(op, y, config, truth=None):
     """Solve the l0-regularized least-squares problem along a lambda path.
 
     Runs the inner active-set loop at lam_k = rho^k lam0, warm-starting each
-    problem from the previous state, and stops at the first lambda whose
-    residual satisfies ||Psi x - y|| <= eps_bar (status ``converged``). On a
+    problem from the previous state, and stops at the first lambda whose step
+    ends at a fixed point of the selection with ||Psi x - y|| <= eps_bar
+    (status ``converged``); in direct mode that x is a coordinatewise
+    minimizer at lam_final. A step that meets eps_bar but hits J_max, or
+    whose selection outgrows n, carries its state to the next lambda. On a
     singular Gram matrix the lambda step is abandoned and the previous state
     carried forward; three consecutive failures abort the run. When ``truth``
     is given, path records include the active set's overlap with the true
@@ -372,7 +376,7 @@ def pdasc(op, y, config, truth=None):
         res_norm = state.residual_norm
         records.append(LambdaRecord.build(k, lam_k, active, state.inner_iters, res_norm, truth,
                                           state.solves))
-        if res_norm <= config.eps_bar:
+        if res_norm <= config.eps_bar and result.status == FIXED_POINT:
             status = CONVERGED
             break
     return SolveReport(x_final=x, support_final=np.flatnonzero(x), lam_final=lam_final,

@@ -306,6 +306,22 @@ def test_fixed_iht_rejects_unnormalized_columns():
         assert report.support_final.size <= 3
 
 
+def test_htp_rejects_unnormalized_columns():
+    # HTP's unit step x + d assumes unit-norm columns, as fixed-step IHT's does;
+    # on a scaled operator it would cycle to max_iters on a wrong support
+    base = gen_gaussian_operator(40, 80, seed=5)
+    scaled = DenseOperator(3.0 * base.mat)
+    assert not scaled.columns_normalized
+    x = np.zeros(80)
+    x[[3, 10, 50]] = [4.0, -2.5, 3.0]
+    y = scaled.apply(x)
+    with pytest.raises(ValueError, match="columns_normalized"):
+        htp(scaled, y, GreedyConfig(T=3))
+    for method in (omp, cosamp):   # these size their steps by least squares
+        report = method(scaled, y, GreedyConfig(T=3))
+        assert np.array_equal(report.support_final, [3, 10, 50])
+
+
 @pytest.mark.parametrize("field, value", [
     ("N", 2.5), ("J_max", 2.5), ("eps_bar", -1.0), ("eps_bar", float("nan")),
 ])

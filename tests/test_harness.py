@@ -9,7 +9,8 @@ import pytest
 
 import l0kit.baselines as baselines_module
 import l0kit.harness as harness_module
-from l0kit import SolverConfig, pdasc, psnr, relative_l2, abs_linf, exact_support
+from l0kit import (SolverConfig, abs_linf, check_coordinatewise_min, exact_support, pdasc, psnr,
+                   relative_l2)
 from l0kit.harness import (ConfigError, ExperimentConfig, make_instance, records_csv,
                            run_sweep, rows_csv, sweep_table_csv)
 
@@ -103,6 +104,45 @@ def test_make_instance_is_deterministic():
     assert not np.array_equal(a.y, c.y)
 
 
+def test_make_instance_on_a_given_operator_equals_a_fresh_build():
+    config = small_config(signal={"T_values": [3, 5], "R": 10.0})
+    first, _ = make_instance(config, 3, trial=1)
+    fresh, seed_fresh = make_instance(config, 5, trial=1)
+    given, seed_given = make_instance(config, 5, trial=1, operator=first.operator)
+    assert given.operator is first.operator
+    assert seed_given == seed_fresh
+    assert given.operator.mat.tobytes() == fresh.operator.mat.tobytes()
+    assert given.y.tobytes() == fresh.y.tobytes()
+    assert given.noise.tobytes() == fresh.noise.tobytes()
+    assert given.noise_level == fresh.noise_level
+    assert given.truth.support.tobytes() == fresh.truth.support.tobytes()
+    assert given.truth.values.tobytes() == fresh.truth.values.tobytes()
+
+
+def _n20_config():
+    return small_config(matrix={"kind": "gaussian", "n": 20, "p": 40})
+
+
+@pytest.mark.parametrize("T, trial, message", [
+    (2.5, 0, "sparsity T=2.5 must be an integer in 1..n=20"),
+    (0, 0, "sparsity T=0 must be an integer in 1..n=20"),
+    (25, 0, "sparsity T=25 must be an integer in 1..n=20"),
+    (4, 1.5, "trial must be an integer >= 0, got 1.5"),
+    (4, True, "trial must be an integer >= 0, got True"),
+    (4, -1, "trial must be an integer >= 0, got -1"),
+], ids=["fractional-T", "zero-T", "T-above-n", "fractional-trial", "boolean-trial",
+        "negative-trial"])
+def test_make_instance_rejects_a_bad_sparsity_or_trial(T, trial, message):
+    with pytest.raises(ConfigError, match=message):
+        make_instance(_n20_config(), T, trial)
+
+
+def test_make_instance_rejects_an_operator_of_another_shape():
+    other, _ = make_instance(small_config(), 4, trial=0)   # 30 x 60
+    with pytest.raises(ConfigError, match=r"operator shape \(30, 60\)"):
+        make_instance(_n20_config(), 4, trial=0, operator=other.operator)
+
+
 # ------------------------------------------------------------------------ sweep
 
 def test_sweep_trivial_instance_recovers():
@@ -174,8 +214,8 @@ def test_sweep_builds_each_instance_once_and_leaves_it_untouched(monkeypatch):
     config = shared_instance_config()
     built = []
 
-    def recording_make_instance(config, T, trial):
-        inst, run_seed = make_instance(config, T, trial)
+    def recording_make_instance(config, T, trial, **kwargs):
+        inst, run_seed = make_instance(config, T, trial, **kwargs)
         built.append((inst, inst.y.tobytes()))
         return inst, run_seed
 
@@ -194,6 +234,32 @@ def test_sweep_builds_each_instance_once_and_leaves_it_untouched(monkeypatch):
     # every pdasc row ran through the module attribute, on a shared instance
     assert len(captured) == sum(r.solver == "same" for r in rows) == 2 * 2 * config.trials
     assert sorted(captured) == sorted(2 * [y for _, y in built])
+
+
+def test_sweep_builds_each_trials_operator_once_for_every_t(monkeypatch):
+    config = small_config(signal={"T_values": [2, 3, 5], "R": 10.0}, trials=4)
+    generate = harness_module._MATRIX_GENERATORS["gaussian"]
+    generated = []
+
+    def counting_generator(*args, **kwargs):
+        generated.append(generate(*args, **kwargs))
+        return generated[-1]
+
+    operators = {}
+    solve = harness_module.pdasc
+
+    def capturing_pdasc(op, y, config, truth=None):
+        operators.setdefault(truth.sparsity, []).append(op)
+        return solve(op, y, config, truth=truth)
+
+    monkeypatch.setitem(harness_module._MATRIX_GENERATORS, "gaussian", counting_generator)
+    monkeypatch.setattr(harness_module, "pdasc", capturing_pdasc)
+    run_sweep(config)
+    assert len(generated) == config.trials   # not once per (T, trial)
+    # the pdasc entry runs once per (T, trial): every T of a trial saw its one operator
+    for T in config.t_values():
+        assert len(operators[T]) == config.trials
+        assert all(a is b for a, b in zip(operators[T], generated))
 
 
 def test_sweep_rows_match_a_fresh_instance_per_solver():
@@ -279,7 +345,15 @@ def test_trace_trivial_zero_data():
         "solvers": [{"name": "pdasc", "N": 30, "J_max": 2, "eps_bar": 1e9}],
     })
     report = solve_first_trial(config)
-    assert len(report.records) == 1  # discrepancy met at the first lambda
+    # the residual meets eps_bar at the first lambda, but that step hits J_max
+    # before a fixed point, so the path goes on to the next one
+    inst, _ = make_instance(config, 1, 0)
+    assert report.status == "converged"
+    assert len(report.records) == 2
+    assert np.array_equal(report.support_final, inst.truth.support)
+    ok, violations = check_coordinatewise_min(inst.operator, inst.y, report.x_final,
+                                              report.lam_final, tol=1e-8)
+    assert ok, violations
 
 
 def _cell(value):

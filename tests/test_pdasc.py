@@ -9,7 +9,7 @@ from l0kit import (CAP_HIT, CONVERGED, FIXED_POINT, GRID_EXHAUSTED, SINGULAR_GRA
                    check_coordinatewise_min, continuation_grid, gen_gaussian_operator,
                    gen_partial_dct_operator, gen_sparse_signal, hard_threshold,
                    objective, oracle_solution, pdas_inner, pdasc, synthesize_instance)
-from l0kit.harness import records_csv
+from l0kit.harness import ExperimentConfig, make_instance, records_csv
 from conftest import CountingDctOperator, example1_pair, orthonormal_operator
 
 
@@ -332,6 +332,27 @@ def test_pdasc_converged_matches_oracle_on_true_support():
     assert np.array_equal(report.support_final, truth.support)
     xo = oracle_solution(op, truth.support, inst.y)
     assert np.max(np.abs(report.x_final - xo)) <= 1e-10
+
+
+def test_pdasc_converges_only_on_a_fixed_point_step():
+    # one sweep-gauss instance whose residual first meets eps_bar on a step
+    # that hits J_max: that x is not a coordinatewise minimizer, so the path
+    # must go on to a step that ends at a fixed point
+    config = ExperimentConfig.from_json({
+        "matrix": {"kind": "gaussian", "n": 200, "p": 400},
+        "signal": {"T": 20, "R": 100.0}, "sigma": 1e-3, "trials": 1, "seed": 997063505,
+        "solvers": [{"name": "pdasc", "N": 80, "J_max": 5}]})
+    inst, _ = make_instance(config, 20, 0)
+    cfg = SolverConfig(N=80, J_max=5, eps_bar=inst.noise_level)
+    report = pdasc(inst.operator, inst.y, cfg)
+    capped = report.records[-2]
+    assert capped.residual <= cfg.eps_bar and capped.inner_iters == cfg.J_max
+    assert report.status == CONVERGED
+    assert report.records[-1].inner_iters < cfg.J_max
+    ok, violations = check_coordinatewise_min(inst.operator, inst.y, report.x_final,
+                                              report.lam_final, tol=1e-8)
+    assert ok, violations
+    assert np.array_equal(report.support_final, inst.truth.support)
 
 
 def test_pdasc_singular_gram_skip_then_abort():
