@@ -186,6 +186,8 @@ def cosamp(op, y, config, truth=None):
     values on a repeated support still move, because the 2T proxy columns
     merged in change every iteration.
     """
+    if config.T > op.n:
+        raise ValueError(f"CoSaMP needs T <= n, got T={config.T} > n={op.n}")
     y = finite_vector("y", y)
     x = np.zeros(op.p)
     support = np.zeros(0, dtype=np.intp)

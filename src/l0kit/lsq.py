@@ -12,8 +12,8 @@ of every new index and extends the block by its cross products with the cached
 columns. Either every slot also holds its column or none does: other operators
 store columns from the start, a table operator from its first nonempty direct
 solve on, which fetches the columns of every slot it holds in one call. A CG
-path makes direct solves only on the empty set, so on a table operator it
-fetches no columns.
+path solves only an empty set directly, and its first step skips even that
+solve, so on a table operator it fetches no columns.
 
 A direct solve on a set A gathers the |A| x |A| submatrix, factors it with
 LAPACK ``potrf``/``potrs`` and forms the residual from the cached columns of

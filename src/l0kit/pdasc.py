@@ -7,10 +7,14 @@ grid, warm-starting every problem from the previous one, and stops at the
 first lambda whose step ends at a fixed point of the selection with its
 residual at the discrepancy level.
 
-A direct path solves each active set once: a step that starts on the set the
-previous step has just solved re-selects from the carried pair instead of
-repeating that solve. The skipped solve still counts as an inner iteration,
-so the path is bitwise that of the repeat (see ``pdas_inner``).
+A step that starts on the set the previous step has just solved selects from
+the carried pair before it solves. A direct path then never repeats that
+solve, which would return the pair bitwise, so it is bitwise the path of a
+loop that repeats it. A CG path repeats it only when the selection keeps the
+set, since only then can the step end on it, and the repeat refines the
+solution; a CG path is therefore not bitwise that of a loop that always
+repeats. A skipped solve still counts as an inner iteration (see
+``pdas_inner``).
 """
 
 import math
@@ -41,14 +45,19 @@ CAP_HIT = "cap_hit"
 SINGULAR_SKIP_LIMIT = 3
 
 
+def _check_lambda(lam):
+    """Raise ValueError unless the threshold scale ``lam`` is finite and > 0."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"threshold scale lambda must be finite and > 0, got {lam!r}")
+
+
 def hard_threshold(v, lam):
     """Zero out v when |v| < sqrt(2 lam), pass it through when |v| > sqrt(2 lam).
 
     The boundary |v| = sqrt(2 lam) maps to 0, mirroring the strict inequality
     used for active-set membership.
     """
-    if lam <= 0:
-        raise ValueError(f"threshold scale must be positive, got {lam}")
+    _check_lambda(lam)
     thr = math.sqrt(2.0 * lam)
     v = np.asarray(v, dtype=float)
     out = np.where(np.abs(v) > thr, v, 0.0)
@@ -97,11 +106,9 @@ def continuation_grid(lam0, lam_min, N):
     Returns (grid, rho) with rho = (lam_min/lam0)^(1/N); consecutive ratios
     are constant and equal to rho.
     """
-    if not (lam0 > lam_min > 0):
-        raise ValueError(f"need lam0 > lam_min > 0, got lam0={lam0}, lam_min={lam_min}")
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"grid size must be >= 1, got {N}")
+    if not (math.isfinite(lam0) and lam0 > lam_min > 0):
+        raise ValueError(f"need finite lam0 > lam_min > 0, got lam0={lam0}, lam_min={lam_min}")
+    check_count("N", N)
     ratio = lam_min / lam0
     grid = lam0 * ratio ** (np.arange(N + 1) / N)
     return grid, ratio ** (1.0 / N)
@@ -193,24 +200,28 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solv
     (recomputed from the last pair), falling back to the last solved set if
     the selection outgrows the row count.
 
-    ``solved`` is the set whose direct solve gave (x0, r0, d0). When A0 equals
-    it, r0 is given and ``cg`` is not, the first solve, which would return
-    (x0, r0, d0) bitwise, is skipped and the loop re-selects from them. The
-    skip still counts as an iteration (toward J_max, ``inner_iters`` and
-    ``active_sets``), so paths match a loop that repeats the solve even where
-    a step hits J_max. The carried vectors are never written in place.
+    ``solved`` is the set whose solve gave (x0, r0, d0). When A0 equals it
+    and r0 is given, the loop selects from (x0, d0) first. In direct mode it
+    then skips the first solve, which would return (x0, r0, d0) bitwise, so
+    the path matches a loop that repeats the solve even where a step hits
+    J_max. In CG mode it skips the first solve when the selection leaves A0,
+    and otherwise makes it, as a refinement of (x0, r0, d0) on A0, the one
+    set the step can then end on. A skipped solve still counts as an
+    iteration (toward J_max, ``inner_iters`` and ``active_sets``), and its
+    selection is the first iteration's. The carried vectors are never
+    written in place.
 
     ``cache`` is a GramCache for (op, y) shared by the solves of a whole path;
     without one, the call builds one for its own solves. ``cg`` holds the
     ``solve_cg`` keyword settings (noise_level, max_iters, tol_factor) when
     the nonempty sets are solved by CG instead of Cholesky. Each CG solve
     starts from the current x on its set and returns an exact residual and
-    dual, so ``r0`` matters only to the skip above.
+    dual, so ``r0`` matters only to the skip above. The first step of a CG
+    path selects a nonempty set from x = 0 and skips the empty set's solve,
+    so the path makes a direct solve only if a later selection is empty.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if J_max < 1:
-        raise ValueError("J_max must be >= 1")
+    _check_lambda(lam)
+    check_count("J_max", J_max)
     cache = GramCache(op, y) if cache is None else cache
     y = cache.y
     thr = math.sqrt(2.0 * lam)
@@ -224,16 +235,18 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solv
     r = None if r0 is None else np.asarray(r0, dtype=float)
     if r is not None and r.shape != (op.n,):
         raise ValueError("r0 must be a length-n vector")
-    skip = (cg is None and r is not None and solved is not None
-            and np.array_equal(current, solved))
+    skip = False
+    if r is not None and solved is not None and np.array_equal(current, solved):
+        # (x, r, d) already solve the current set: select from them first; a
+        # CG step refines that solution only if the selection keeps the set
+        selected = np.flatnonzero(np.abs(x + d) > thr)
+        skip = cg is None or not np.array_equal(selected, current)
     sets = []
     status = CAP_HIT
     carry = current
     solves = 0
     for _ in range(J_max):
-        if skip:
-            skip = False  # (x, r, d) already solve the current set
-        else:
+        if not skip:
             solves += 1
             try:
                 if cg is None or current.size == 0:
@@ -246,8 +259,9 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solv
             x = np.zeros(op.p)
             x[current] = sol.x_active
             r, d = sol.residual, sol.dual
+            selected = np.flatnonzero(np.abs(x + d) > thr)
+        skip = False
         sets.append(current)
-        selected = np.flatnonzero(np.abs(x + d) > thr)
         if selected.size == current.size and (selected == current).all():
             status = FIXED_POINT
             carry = current

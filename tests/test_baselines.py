@@ -96,6 +96,14 @@ def test_htp_rejects_t_above_n():
         htp(op, y, GreedyConfig(T=12))
 
 
+def test_cosamp_rejects_t_above_n():
+    # past n, the prune to T keeps more columns than a solve can determine
+    op = gen_gaussian_operator(40, 80, seed=2)
+    y = np.random.default_rng(2).standard_normal(40)
+    with pytest.raises(ValueError, match="CoSaMP needs T <= n, got T=50 > n=40"):
+        cosamp(op, y, GreedyConfig(T=50))
+
+
 def test_duplicate_columns_contract():
     # HTP and CoSaMP raise once they select both copies; PDASC reports the abort
     mat = gen_gaussian_operator(20, 40, seed=3).mat.copy()

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ def test_hard_threshold_vectorized_and_errors():
         hard_threshold(1.0, 0.0)
     with pytest.raises(ValueError):
         hard_threshold(1.0, -1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_hard_threshold_rejects_non_finite_lambda(lam):
+    # a NaN threshold compares false everywhere and would zero every entry
+    with pytest.raises(ValueError, match="finite"):
+        hard_threshold(np.array([0.1, -3.0]), lam)
 
 
 # ------------------------------------------------------------------- objective
@@ -112,6 +120,18 @@ def test_grid_rejects_bad_order():
         continuation_grid(1.0, 1e-3, 0)
 
 
+@pytest.mark.parametrize("N", [2.5, True])
+def test_grid_rejects_non_count_size(N):
+    # int(2.5) would silently build a 3-point grid
+    with pytest.raises(ValueError, match="N must be an integer >= 1"):
+        continuation_grid(1.0, 1e-3, N)
+
+
+def test_grid_rejects_infinite_head():
+    with pytest.raises(ValueError, match="finite lam0"):
+        continuation_grid(math.inf, 1e-3, 10)
+
+
 # ------------------------------------------------------------------ inner loop
 
 def test_inner_empty_fixed_point():
@@ -154,6 +174,27 @@ def test_inner_rejects_bad_args():
         pdas_inner(op, y, 1.0, np.zeros(8), np.zeros(8), [], 0)
     with pytest.raises(ValueError):
         pdas_inner(op, y, 1.0, np.zeros(8), np.zeros(8), [0, 1, 2, 3, 4], 3)
+
+
+def _inner_args_40x80():
+    op = gen_gaussian_operator(40, 80, seed=5)
+    y = np.random.default_rng(6).standard_normal(40)
+    return op, y, np.zeros(80), op.adjoint_apply(y)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_inner_rejects_non_finite_lambda(lam):
+    # NaN and inf select nothing and would report an empty fixed point
+    op, y, x0, d0 = _inner_args_40x80()
+    with pytest.raises(ValueError, match="finite and > 0"):
+        pdas_inner(op, y, lam, x0, d0, [], 3)
+
+
+@pytest.mark.parametrize("J_max", [2.5, True])
+def test_inner_rejects_non_count_j_max(J_max):
+    op, y, x0, d0 = _inner_args_40x80()
+    with pytest.raises(ValueError, match="J_max must be an integer >= 1"):
+        pdas_inner(op, y, 1.0, x0, d0, [], J_max)
 
 
 def test_inner_fixed_point_is_coordinatewise_minimizer():
@@ -500,11 +541,14 @@ def test_pdasc_cg_one_apply_and_adjoint_per_cg_solve(monkeypatch):
     base, inst, cfg = _dct_cg_case()
     op = CountingDctOperator(base)
     tally = _spy_cg(monkeypatch)
+    calls = _spy_solves(monkeypatch)
     report = pdasc(op, inst.y, cfg)
     assert report.status == CONVERGED
     # one pair per CG solve, whatever its iteration count or start, and Psi^t y
-    # once; the Gram block comes in closed form, so no column is fetched
-    assert op.applies == tally["solves"]
+    # once; the Gram block comes in closed form, so no column is fetched, and
+    # step 1 skips the empty set's solve, so no direct solve is made
+    assert not any(name == "solve_direct" for name, _ in calls)
+    assert op.applies == tally["solves"] == sum(r.solves for r in report.records)
     assert op.adjoints == tally["solves"] + 1
     assert op.fetched == []
     assert tally["iters"] > tally["solves"] > len(report.records)
@@ -633,16 +677,67 @@ def test_direct_path_never_solves_a_set_twice_in_a_row(monkeypatch):
         assert len(calls) < sum(r.inner_iters for r in report.records)
 
 
-def test_cg_path_solves_at_every_iteration(monkeypatch):
-    # a repeated CG solve continues the iteration, so CG paths skip nothing
-    calls = _spy_solves(monkeypatch)
+def _capture_steps(monkeypatch):
+    """Route pdasc's inner calls through a spy; returns (args, kwargs, result)
+    of every call, in order."""
+    steps = []
+    inner = pdasc_module.pdas_inner
+
+    def capture(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        steps.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(pdasc_module, "pdas_inner", capture)
+    return steps
+
+
+def test_cg_path_skips_exactly_the_steps_that_leave_their_set(monkeypatch):
+    # a CG step that starts on its solved set selects first: it skips the
+    # solve when the selection leaves the set and refines the set otherwise
+    for seed in (80, 83):
+        calls = _spy_solves(monkeypatch)
+        steps = _capture_steps(monkeypatch)
+        op, inst, cfg = _dct_cg_case(seed)
+        report = pdasc(op, inst.y, cfg)
+        assert report.status == CONVERGED
+        assert {name for name, _ in calls} == {"solve_cg"}
+        skipped = refined = 0
+        for (_op, _y, lam, x0, d0, a0, *_rest), _kwargs, result in steps:
+            solved = _rest[-1]
+            st = result.state
+            if not np.array_equal(a0, solved):
+                assert st.solves == st.inner_iters
+                continue
+            keeps = np.array_equal(np.flatnonzero(np.abs(x0 + d0) > np.sqrt(2 * lam)), a0)
+            assert st.solves == st.inner_iters - (not keeps)
+            skipped += not keeps
+            refined += keeps
+        assert skipped > 0 and refined > 0
+        iters = sum(r.inner_iters for r in report.records)
+        assert sum(r.solves for r in report.records) == iters - skipped == len(calls)
+        monkeypatch.undo()
+
+
+def test_cg_step_refines_a_set_its_selection_keeps(monkeypatch):
+    # at a CG fixed point the carried selection keeps the set, so a step
+    # carried on it solves that set once more, as a step without the skip does
     op, inst, cfg = _dct_cg_case()
-    report = pdasc(op, inst.y, cfg)
-    assert report.status == CONVERGED
-    assert all(s == [] for name, s in calls if name == "solve_direct")
-    assert sum(name == "solve_cg" for name, _ in calls) > len(report.records)
-    assert (sum(r.solves for r in report.records) == sum(r.inner_iters for r in report.records)
-            == len(calls))
+    cg = {"noise_level": cfg.eps_bar}
+    cache = GramCache(op, inst.y)
+    lam = 0.5 * (0.3 * np.max(np.abs(cache.aty))) ** 2
+    first = pdas_inner(op, inst.y, lam, np.zeros(op.p), cache.aty, [], 10, cache, cg)
+    st = first.state
+    assert first.status == FIXED_POINT and st.solved_set.size > 0
+    calls = _spy_solves(monkeypatch)
+    carried = pdas_inner(op, inst.y, lam, st.x, st.d, st.solved_set, 10, cache, cg,
+                         st.residual, st.solved_set)
+    assert calls[0] == ("solve_cg", st.solved_set.tolist())
+    assert carried.state.solves == carried.state.inner_iters == len(calls)
+    repeat = pdas_inner(op, inst.y, lam, st.x, st.d, st.solved_set, 10, cache, cg)
+    assert [a.tolist() for a in carried.active_sets] == [a.tolist() for a in repeat.active_sets]
+    for a, b in ((carried.state.x, repeat.state.x), (carried.state.d, repeat.state.d)):
+        assert np.array_equal(a, b)
 
 
 def test_standalone_inner_call_builds_one_cache(monkeypatch):
