@@ -14,15 +14,12 @@ from .lsq import (GramCache, RestrictedLsqSolution, SingularGramError, solve_cg,
                   solve_direct)
 from .operators import (CustomOperator, DenseOperator, PartialDctOperator,
                         SensingOperator, gen_bernoulli_operator, gen_gaussian_operator,
-                        gen_partial_dct_operator, load_operator_binary, save_operator_binary,
-                        save_operator_csv)
+                        gen_partial_dct_operator)
 from .pdasc import (CAP_HIT, CONVERGED, FIXED_POINT, GRID_EXHAUSTED, SINGULAR_GRAM_ABORT,
                     InnerResult, LambdaRecord, SolveReport, SolverConfig, SolverState,
                     check_coordinatewise_min, continuation_grid, hard_threshold,
                     objective, pdas_inner, pdasc)
-from .problem import (ProblemInstance, SparseSignal, gen_sparse_signal,
-                      instance_from_json, instance_to_json, signal_from_json,
-                      signal_to_json, synthesize_instance)
+from .problem import ProblemInstance, SparseSignal, gen_sparse_signal, synthesize_instance
 from .theory import (BoundCheck, BoundReport, CapacityError, LevelSet, TheoryCertificate,
                      bruteforce_l0_min, certify, check_onestep_bounds_mip,
                      check_onestep_bounds_rip, level_set, mutual_coherence,

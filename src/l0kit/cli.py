@@ -1,6 +1,7 @@
-"""Command-line driver. gen writes a configured instance; solve prints one
-solver's per-step records (the active set along the path); sweep prints the
-recovery, error and timing table; certify prints an instance's certificate.
+"""Command-line driver. solve prints one solver's per-step records (the active
+set along the path); sweep prints the recovery, error and timing table; certify
+prints an instance's certificate as JSON. Every instance is rebuilt from the
+config and its seed.
 
 Exit codes: 0 success, 2 configuration error, 3 capacity error (an exact scan
 or enumeration beyond its size cap).
@@ -12,8 +13,6 @@ import sys
 
 from .harness import (ExperimentConfig, certify_instance, make_instance, records_csv,
                       rows_csv, run_sweep, sweep_table_csv)
-from .operators import save_operator_binary, save_operator_csv
-from .problem import instance_to_json, write_json
 from .theory import CapacityError
 
 
@@ -34,16 +33,15 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="l0kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = _add_command(sub, "gen", "generate an operator and instance from a config")
-    gen.set_defaults(func=cmd_gen)
-
     solve = _add_command(sub, "solve", "solve one configured instance with one solver")
     solve.add_argument("--solver-index", type=int, default=0)
     solve.add_argument("--trial", type=int, default=0)
+    solve.add_argument("--format", choices=("csv", "json"), default="csv")
     solve.set_defaults(func=cmd_solve)
 
     sweep = _add_command(sub, "sweep", "recovery-probability sweep over (T, solver, trial)")
     sweep.add_argument("--rows", help="also write the per-trial rows to this path")
+    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(func=cmd_sweep)
 
     cert = _add_command(sub, "certify", "theory certificate for one configured instance")
@@ -59,7 +57,6 @@ def _add_command(sub, name, help_text):
     cmd.add_argument("--config", required=True, help="experiment config JSON path")
     cmd.add_argument("--seed", type=int, default=None, help="override the config base seed")
     cmd.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    cmd.add_argument("--format", choices=("csv", "json"), default="csv")
     return cmd
 
 
@@ -80,18 +77,6 @@ def _emit(text, args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def cmd_gen(args):
-    config = _load_config(args, need_solvers=False)
-    inst, _run_seed = make_instance(config, config.t_values()[0], 0)
-    base = args.out or "instance"
-    save_operator_binary(inst.operator, base + ".l0op")
-    if args.format == "csv":
-        save_operator_csv(inst.operator, base + ".operator.csv")
-    write_json(instance_to_json(inst), base + ".instance.json")
-    print(f"wrote operator and instance with prefix {base}", file=sys.stderr)
     return 0
 
 
@@ -117,7 +102,6 @@ def cmd_sweep(args):
 
 
 def cmd_certify(args):
-    # certificates are nested records; emitted as JSON regardless of --format
     config = _load_config(args, need_solvers=False)
     cert = certify_instance(config, trial=args.trial, rho=args.rho)
     return _emit(json.dumps(cert.to_json(), indent=2) + "\n", args)

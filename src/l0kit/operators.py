@@ -1,9 +1,9 @@
 """Sensing operators: dense random ensembles and a matrix-free partial DCT."""
 
-import struct
-
 import numpy as np
 from scipy.fft import dct, idct
+
+from .lsq import check_count
 
 __all__ = [
     "SensingOperator",
@@ -13,12 +13,7 @@ __all__ = [
     "gen_gaussian_operator",
     "gen_bernoulli_operator",
     "gen_partial_dct_operator",
-    "save_operator_binary",
-    "load_operator_binary",
-    "save_operator_csv",
 ]
-
-_MAGIC = b"L0OP"
 
 
 class SensingOperator:
@@ -31,11 +26,10 @@ class SensingOperator:
     kind = "custom-operator"
 
     def __init__(self, n, p, columns_normalized=False):
-        n, p = int(n), int(p)
-        if n < 1 or p < 1:
-            raise ValueError(f"operator dimensions must be positive, got n={n}, p={p}")
-        self.n = n
-        self.p = p
+        check_count("n", n)
+        check_count("p", p)
+        self.n = int(n)
+        self.p = int(p)
         self.columns_normalized = bool(columns_normalized)
 
     @property
@@ -63,10 +57,6 @@ class SensingOperator:
         """Correlation of the residual with the columns: Psi^t (y - Psi x)."""
         return self.adjoint_apply(y - self.apply(x))
 
-    def dense(self):
-        """The explicit n x p matrix (materialized column by column unless stored)."""
-        return self.columns(np.arange(self.p))
-
     def _check_apply_dim(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.p,):
@@ -89,6 +79,8 @@ class DenseOperator(SensingOperator):
         mat = np.ascontiguousarray(mat, dtype=float)
         if mat.ndim != 2:
             raise ValueError("dense operator needs a 2-d array")
+        if not np.isfinite(mat).all():
+            raise ValueError("dense operator matrix contains non-finite values")
         if columns_normalized is None:
             norms = np.linalg.norm(mat, axis=0)
             columns_normalized = bool(np.all(np.abs(norms - 1.0) <= 1e-12))
@@ -104,9 +96,6 @@ class DenseOperator(SensingOperator):
     def columns(self, indices):
         indices = np.asarray(indices, dtype=np.intp)
         return self.mat[:, indices]
-
-    def dense(self):
-        return self.mat
 
 
 class PartialDctOperator(SensingOperator):
@@ -220,34 +209,8 @@ def gen_partial_dct_operator(n, p, seed):
 
 
 def _check_gen_dims(n, p):
-    if n < 1 or p < 1:
-        raise ValueError(f"operator dimensions must be positive, got n={n}, p={p}")
+    check_count("n", n)
+    check_count("p", p)
     if n > p:
         raise ValueError(f"need n <= p, got n={n} > p={p}")
 
-
-def save_operator_binary(op, path):
-    """Write a dense operator: magic 'L0OP', u32 n, u32 p, f64 column-major data,
-    all little-endian."""
-    mat = op.dense()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", _MAGIC, op.n, op.p))
-        fh.write(np.asfortranarray(mat, dtype="<f8").tobytes(order="F"))
-
-
-def load_operator_binary(path):
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if len(header) != 12:
-            raise ValueError(f"truncated operator file: {path}")
-        magic, n, p = struct.unpack("<4sII", header)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        data = np.frombuffer(fh.read(8 * n * p), dtype="<f8")
-        if data.size != n * p:
-            raise ValueError(f"truncated operator data in {path}")
-    return DenseOperator(data.reshape((n, p), order="F"))
-
-
-def save_operator_csv(op, path):
-    np.savetxt(path, op.dense(), delimiter=",")

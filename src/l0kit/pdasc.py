@@ -85,6 +85,7 @@ def check_coordinatewise_min(op, y, x, lam, tol=1e-8):
     min_{i in A} |x_i| >= sqrt(2 lam) - tol, ||d||_inf <= sqrt(2 lam) + tol,
     and d = 0 on A to within tol. Returns (ok, violations).
     """
+    check_nonnegative("lam", lam)
     x = np.asarray(x, dtype=float)
     thr = math.sqrt(2.0 * lam)
     active = np.flatnonzero(x)

@@ -1,19 +1,17 @@
 """Ground-truth sparse signals and noisy measurement instances."""
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .lsq import check_count, check_nonnegative, finite_vector
 
 __all__ = [
     "SparseSignal",
     "ProblemInstance",
     "gen_sparse_signal",
     "synthesize_instance",
-    "signal_to_json",
-    "signal_from_json",
-    "instance_to_json",
-    "instance_from_json",
 ]
 
 
@@ -27,7 +25,7 @@ class SparseSignal:
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=np.intp)
-        values = np.asarray(self.values, dtype=float)
+        values = finite_vector("signal values", self.values)
         if support.size != values.size:
             raise ValueError("support and values must have equal length")
         if support.size and (support.min() < 0 or support.max() >= self.p):
@@ -71,7 +69,6 @@ class ProblemInstance:
     truth: SparseSignal | None = None
     noise: np.ndarray | None = None
     noise_std: float = 0.0
-    seed: object = None
     noise_level: float = field(default=None)
 
     def __post_init__(self):
@@ -91,12 +88,14 @@ def gen_sparse_signal(p, T, R, seed):
     are log-uniform on [1, R] with the smallest pinned to 1 and the largest to
     R, so min |x_i| = 1 and max |x_i| = R hold exactly.
     """
+    check_count("p", p)
+    check_count("T", T)
     p, T = int(p), int(T)
     R = float(R)
-    if not 1 <= T <= p:
+    if T > p:
         raise ValueError(f"need 1 <= T <= p, got T={T}, p={p}")
-    if R < 1:
-        raise ValueError(f"dynamic range must be >= 1, got R={R}")
+    if not (math.isfinite(R) and R >= 1):
+        raise ValueError(f"dynamic range must be finite and >= 1, got R={R}")
     if T == 1 and R != 1.0:
         raise ValueError("a 1-sparse signal cannot have dynamic range R > 1")
     rng = np.random.default_rng(seed)
@@ -112,69 +111,13 @@ def gen_sparse_signal(p, T, R, seed):
 
 def synthesize_instance(op, truth, sigma, seed):
     """Form y = Psi x* + eta with i.i.d. Gaussian noise of standard deviation sigma."""
+    check_nonnegative("sigma", sigma)
     sigma = float(sigma)
     if truth.p != op.p:
         raise ValueError(f"signal dimension {truth.p} does not match operator columns {op.p}")
-    if sigma < 0:
-        raise ValueError("noise standard deviation must be nonnegative")
     rng = np.random.default_rng(seed)
     eta = sigma * rng.standard_normal(op.n)
     y = op.apply(truth.dense()) + eta
     return ProblemInstance(operator=op, y=y, truth=truth, noise=eta,
-                           noise_std=sigma, seed=seed)
+                           noise_std=sigma)
 
-
-def signal_to_json(sig):
-    return {"p": sig.p,
-            "support": [int(i) for i in sig.support],
-            "values": [float(v) for v in sig.values]}
-
-
-def signal_from_json(doc):
-    return SparseSignal(p=int(doc["p"]),
-                        support=np.asarray(doc["support"], dtype=np.intp),
-                        values=np.asarray(doc["values"], dtype=float))
-
-
-def instance_to_json(inst):
-    if inst.truth is None:
-        raise ValueError("only synthetic instances (with truth) are JSON-serializable")
-    doc = signal_to_json(inst.truth)
-    doc.update({"sigma": float(inst.noise_std),
-                "eps": float(inst.noise_level),
-                "seed": _seed_to_json(inst.seed)})
-    return doc
-
-
-def _seed_to_json(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        entropy = seed.entropy
-        if isinstance(entropy, (list, tuple)):
-            entropy = [int(e) for e in entropy]
-        else:
-            entropy = int(entropy)
-        return {"entropy": entropy, "spawn_key": [int(k) for k in seed.spawn_key]}
-    return seed
-
-
-def _seed_from_json(doc):
-    if isinstance(doc, dict):
-        return np.random.SeedSequence(entropy=doc["entropy"],
-                                      spawn_key=tuple(doc["spawn_key"]))
-    return doc
-
-
-def instance_from_json(doc, op):
-    """Rebuild an instance from its JSON record; the noise is re-synthesized
-    from the stored seed, and the stored eps must match the regenerated one."""
-    truth = signal_from_json(doc)
-    inst = synthesize_instance(op, truth, doc["sigma"], _seed_from_json(doc["seed"]))
-    if abs(inst.noise_level - doc["eps"]) > 1e-9 * max(1.0, doc["eps"]):
-        raise ValueError("stored eps does not match the regenerated noise; wrong operator or seed")
-    return inst
-
-
-def write_json(doc, path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

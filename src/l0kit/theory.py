@@ -32,7 +32,7 @@ def mutual_coherence(op):
     if op.p > COHERENCE_COLUMN_CAP:
         raise CapacityError(f"exact pairwise scan over p = {op.p} columns exceeds the cap "
                             f"{COHERENCE_COLUMN_CAP}")
-    mat = op.dense()
+    mat = op.columns(np.arange(op.p))
     best = 0.0
     block = 256
     for start in range(0, op.p, block):
@@ -55,7 +55,7 @@ def rip_constant_bruteforce(op, s):
     if math.comb(op.p, s) > SUBSET_ENUMERATION_CAP:
         raise CapacityError(f"C({op.p}, {s}) = {math.comb(op.p, s)} subsets exceeds the cap "
                             f"{SUBSET_ENUMERATION_CAP}")
-    mat = op.dense()
+    mat = op.columns(np.arange(op.p))
     delta = 0.0
     for subset in combinations(range(op.p), s):
         sv = np.linalg.svd(mat[:, subset], compute_uv=False)
@@ -176,8 +176,8 @@ def bruteforce_l0_min(op, y, lam, k_max):
     total = sum(math.comb(op.p, k) for k in range(k_max + 1))
     if total > SUBSET_ENUMERATION_CAP:
         raise CapacityError(f"{total} candidate supports exceed the cap {SUBSET_ENUMERATION_CAP}")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and > 0, got {lam!r}")
     y = np.asarray(y, dtype=float)
     best_key = (0.5 * float(y @ y), 0, ())
     best_x = np.zeros(op.p)
@@ -356,8 +356,8 @@ class LevelSet:
 
 def level_set(truth, lam, s):
     """G_{lam, s} = {i : |x*_i| >= sqrt(2 lam) s}; shrinks as lam or s grows."""
-    if lam <= 0 or s <= 0:
-        raise ValueError("level sets need lam > 0 and s > 0")
+    if not (math.isfinite(lam) and lam > 0 and math.isfinite(s) and s > 0):
+        raise ValueError(f"level sets need finite lam > 0 and s > 0, got lam={lam!r}, s={s!r}")
     cut = math.sqrt(2.0 * lam) * s
     members = truth.support[np.abs(truth.values) >= cut]
     return LevelSet(lam=float(lam), s=float(s), indices=np.asarray(members, dtype=np.intp))

@@ -70,29 +70,22 @@ def test_solve_and_trace_and_bench(config_path, tmp_path):
     assert all({"med_time_s", "med_rel_l2", "med_abs_linf"} <= set(row) for row in table)
 
 
-def test_gen_writes_operator_and_instance(config_path, tmp_path):
-    prefix = tmp_path / "inst"
-    rc = main(["gen", "--config", str(config_path), "--out", str(prefix)])
-    assert rc == 0
-    assert (tmp_path / "inst.l0op").exists()
-    assert (tmp_path / "inst.operator.csv").exists()  # csv is the default interop extra
-    doc = json.loads((tmp_path / "inst.instance.json").read_text())
-    assert set(doc) == {"p", "support", "values", "sigma", "eps", "seed"}
-
-    from l0kit import load_operator_binary
-    from l0kit.problem import instance_from_json
-
-    op = load_operator_binary(tmp_path / "inst.l0op")
-    inst = instance_from_json(doc, op)
-    assert inst.y.shape == (24,)
-
-
 def test_certify_reports_conditions(config_path, tmp_path):
     out = tmp_path / "cert.json"
     rc = main(["certify", "--config", str(config_path), "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert {"nu", "T", "beta", "mip_conv_ok", "rho_interval"} <= set(doc)
+
+
+def test_certify_has_no_format_option(config_path, tmp_path, capsys):
+    # certificates are always JSON; only solve and sweep take --format
+    out = tmp_path / "cert.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--config", str(config_path), "--out", str(out), "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_override_changes_output(config_path, tmp_path):
@@ -172,7 +165,7 @@ def test_bad_solver_entry_is_a_config_error(tmp_path, capsys, entry, named, comm
 
 
 @pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
-@pytest.mark.parametrize("command", ["gen", "solve", "sweep", "certify"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "certify"])
 def test_non_object_config_is_a_config_error(tmp_path, capsys, command, seed):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

@@ -6,8 +6,7 @@ import pytest
 from scipy.fft import idct
 
 from l0kit import (CustomOperator, DenseOperator, PartialDctOperator, gen_bernoulli_operator,
-                   gen_gaussian_operator, gen_partial_dct_operator, load_operator_binary,
-                   mutual_coherence, save_operator_binary, save_operator_csv)
+                   gen_gaussian_operator, gen_partial_dct_operator, mutual_coherence)
 
 ALL_GENERATORS = [gen_gaussian_operator, gen_bernoulli_operator, gen_partial_dct_operator]
 
@@ -176,46 +175,31 @@ def test_generators_are_deterministic(gen):
     assert np.array_equal(a.apply(x), b.apply(x))
 
 
-def test_binary_round_trip(tmp_path):
-    op = gen_gaussian_operator(7, 13, seed=5)
-    path = tmp_path / "op.l0op"
-    save_operator_binary(op, path)
-    loaded = load_operator_binary(path)
-    assert loaded.shape == op.shape
-    assert np.array_equal(loaded.mat, op.mat)
-    raw = path.read_bytes()
-    assert raw[:4] == b"L0OP"
-    assert int.from_bytes(raw[4:8], "little") == 7
-    assert int.from_bytes(raw[8:12], "little") == 13
-    # column-major: first 7 doubles are column 0
-    first_col = np.frombuffer(raw[12:12 + 7 * 8], dtype="<f8")
-    assert np.array_equal(first_col, op.mat[:, 0])
-
-
-def test_binary_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.l0op"
-    path.write_bytes(b"NOPE" + b"\x00" * 8)
-    with pytest.raises(ValueError):
-        load_operator_binary(path)
-    path.write_bytes(b"L0OP")
-    with pytest.raises(ValueError):
-        load_operator_binary(path)
-
-
-def test_csv_round_trip(tmp_path):
-    op = gen_bernoulli_operator(5, 9, seed=1)
-    path = tmp_path / "op.csv"
-    save_operator_csv(op, path)
-    loaded = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(loaded, op.mat)
-
-
 def test_dense_operator_dim_checks():
     op = DenseOperator(np.eye(3))
     with pytest.raises(ValueError):
         op.apply(np.zeros(4))
     with pytest.raises(ValueError):
         op.adjoint_apply(np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_operator_rejects_non_finite_entries(bad):
+    mat = gen_gaussian_operator(5, 10, seed=0).mat.copy()
+    mat[2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DenseOperator(mat, columns_normalized=True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CustomOperator(2.7, 5, np.zeros, np.zeros),
+    lambda: PartialDctOperator(16.5, np.arange(4)),
+    lambda: gen_gaussian_operator(2.5, 10, 0),
+    lambda: gen_partial_dct_operator(4, 16.0, 0),
+], ids=["custom", "partial-dct", "gaussian", "gen-partial-dct"])
+def test_fractional_dimensions_are_rejected(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
 
 
 def test_custom_operator_wraps_callables():

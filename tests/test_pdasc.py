@@ -94,6 +94,16 @@ def test_small_active_entry_is_flagged():
                for v in violations)
 
 
+def test_coordinatewise_min_rejects_bad_lambda():
+    op = orthonormal_operator(6)
+    y = np.ones(6)
+    for lam in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="lam"):
+            check_coordinatewise_min(op, y, np.zeros(6), lam)
+    # lambda = 0 is the zero-correlation exit's lam_final; zero is optimal for y = 0
+    assert check_coordinatewise_min(op, np.zeros(6), np.zeros(6), 0.0) == (True, [])
+
+
 # ----------------------------------------------------------- continuation grid
 
 def test_grid_log_even_spacing():

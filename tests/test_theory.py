@@ -226,6 +226,13 @@ def test_bruteforce_capacity_guard():
         bruteforce_l0_min(op, np.ones(30), 0.1, 10)
 
 
+def test_bruteforce_rejects_bad_lambda():
+    op = orthonormal_operator(6)
+    for lam in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="lambda"):
+            bruteforce_l0_min(op, np.ones(6), lam, 2)
+
+
 def test_bruteforce_dominates_pdasc_objective():
     rng = np.random.default_rng(20)
     for trial in range(10):
@@ -326,6 +333,14 @@ def test_level_set_rejects_bad_params():
         level_set(truth, 0.0, 1.0)
     with pytest.raises(ValueError):
         level_set(truth, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("lam, s", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                    (1.0, math.inf)])
+def test_level_set_rejects_non_finite_params(lam, s):
+    truth = gen_sparse_signal(10, 2, 2.0, seed=34)
+    with pytest.raises(ValueError, match="finite"):
+        level_set(truth, lam, s)
 
 
 # --------------------------------------------------- printed coherence estimates
