@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.fft import dct, idct
 
-from .lsq import check_count
+from .lsq import check_count, finite_vector
 
 __all__ = [
     "SensingOperator",
@@ -82,7 +82,7 @@ class DenseOperator(SensingOperator):
         if not np.isfinite(mat).all():
             raise ValueError("dense operator matrix contains non-finite values")
         if columns_normalized is None:
-            norms = np.linalg.norm(mat, axis=0)
+            norms = _column_norms(mat)
             columns_normalized = bool(np.all(np.abs(norms - 1.0) <= 1e-12))
         super().__init__(mat.shape[0], mat.shape[1], columns_normalized)
         self.mat = mat
@@ -176,18 +176,38 @@ class CustomOperator(SensingOperator):
         self._adjoint_fn = adjoint_fn
 
     def apply(self, x):
-        return np.asarray(self._apply_fn(self._check_apply_dim(x)), dtype=float)
+        return _checked_output("apply_fn", self._apply_fn(self._check_apply_dim(x)), self.n)
 
     def adjoint_apply(self, r):
-        return np.asarray(self._adjoint_fn(self._check_adjoint_dim(r)), dtype=float)
+        return _checked_output("adjoint_fn", self._adjoint_fn(self._check_adjoint_dim(r)), self.p)
+
+
+def _checked_output(name, v, size):
+    # a NaN from a user callable would otherwise reach the solvers as data
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"{name} returned shape {v.shape}, expected ({size},)")
+    return finite_vector(f"{name} output", v)
+
+
+def _column_norms(mat):
+    """Euclidean norm of each column of a 2-d array. One fused pass with no
+    n x p temporary, and bitwise equal to ``np.linalg.norm(mat, axis=0)``:
+    both sum the squares down axis 0 in the same row order."""
+    return np.sqrt(np.einsum("ij,ij->j", mat, mat))
 
 
 def gen_gaussian_operator(n, p, seed):
-    """Random Gaussian matrix with every column scaled to unit norm."""
+    """Random Gaussian matrix with every column scaled to unit norm.
+
+    A build holds one n x p array plus the n p / 8-byte finiteness mask of
+    ``DenseOperator``: the columns are normalized in place.
+    """
     _check_gen_dims(n, p)
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, p))
-    mat /= np.linalg.norm(mat, axis=0)
+    # no mat * mat temporary; divide, as a reciprocal multiply is not bitwise the same
+    mat /= _column_norms(mat)
     return DenseOperator(mat, columns_normalized=True)
 
 
@@ -195,7 +215,8 @@ def gen_bernoulli_operator(n, p, seed):
     """Random Bernoulli matrix with entries +-1/sqrt(n); columns have exact unit norm."""
     _check_gen_dims(n, p)
     rng = np.random.default_rng(seed)
-    mat = rng.choice([-1.0, 1.0], size=(n, p)) / np.sqrt(n)
+    mat = rng.choice([-1.0, 1.0], size=(n, p))
+    mat /= np.sqrt(n)
     return DenseOperator(mat, columns_normalized=True)
 
 

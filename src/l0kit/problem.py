@@ -72,7 +72,7 @@ class ProblemInstance:
     noise_level: float = field(default=None)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = finite_vector("y", self.y)
         if y.shape != (self.operator.n,):
             raise ValueError(f"data shape {y.shape} does not match operator rows {self.operator.n}")
         object.__setattr__(self, "y", y)

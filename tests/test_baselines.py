@@ -300,6 +300,33 @@ def test_solvers_reject_non_finite_data(solver, bad):
         _SOLVER_ENTRIES[solver](op, y)
 
 
+_NAN_CALLABLE_SOLVERS = {
+    "omp": lambda op, y: omp(op, y, GreedyConfig(T=3)),
+    "htp": lambda op, y: htp(op, y, GreedyConfig(T=3)),
+    "cosamp": lambda op, y: cosamp(op, y, GreedyConfig(T=3)),
+    "aiht": lambda op, y: iht(op, y, GreedyConfig(T=3, step_policy="adaptive")),
+    "pdasc": lambda op, y: pdasc(op, y, SolverConfig(eps_bar=1e-3)),
+}
+
+
+@pytest.mark.parametrize("nan_in", ["apply_fn", "adjoint_fn", "both"])
+@pytest.mark.parametrize("solver", list(_NAN_CALLABLE_SOLVERS))
+def test_solvers_reject_non_finite_callable_output(solver, nan_in):
+    # a NaN from either callable must stop every solver before it can
+    # report converged with a NaN x_final
+    base = gen_gaussian_operator(20, 40, seed=42)
+    y = np.random.default_rng(43).standard_normal(20)
+    nan_apply = lambda x: np.full(20, np.nan)
+    nan_adjoint = lambda r: np.full(40, np.nan)
+    op = CustomOperator(20, 40,
+                        base.apply if nan_in == "adjoint_fn" else nan_apply,
+                        base.adjoint_apply if nan_in == "apply_fn" else nan_adjoint,
+                        columns_normalized=True)
+    match = "apply_fn|adjoint_fn" if nan_in == "both" else nan_in
+    with pytest.raises(ValueError, match=match):
+        _NAN_CALLABLE_SOLVERS[solver](op, y)
+
+
 def test_fixed_iht_rejects_unnormalized_columns():
     # the unit step assumes unit-norm columns; the adaptive step sizes itself
     base = gen_gaussian_operator(20, 40, seed=42)

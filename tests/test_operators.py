@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.fft import idct
 
 from l0kit import (CustomOperator, DenseOperator, PartialDctOperator, gen_bernoulli_operator,
                    gen_gaussian_operator, gen_partial_dct_operator, mutual_coherence)
+from l0kit.operators import _column_norms
 
 ALL_GENERATORS = [gen_gaussian_operator, gen_bernoulli_operator, gen_partial_dct_operator]
 
@@ -69,6 +71,55 @@ def test_bernoulli_entries_and_exact_norms():
     big = gen_bernoulli_operator(2**10, 2**12, seed=7)
     assert big.shape == (1024, 4096)
     assert np.array_equal(np.abs(big.mat), np.full(big.shape, 1.0 / 32.0))
+
+
+# the dense-ensemble shapes the stream is pinned on; n > p shapes can only be
+# normalized, since the generators need n <= p
+_NORM_SHAPES = [(500, 1000), (200, 400), (2000, 8000), (7, 13), (1, 5), (33, 17),
+                (64, 4096), (1000, 3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n,p", _NORM_SHAPES)
+def test_dense_ensembles_keep_their_instance_stream(n, p, seed):
+    # every Gaussian and Bernoulli matrix is bitwise the one that
+    # linalg.norm and an out-of-place scale made from the same draws
+    if n <= p:
+        op = gen_gaussian_operator(n, p, seed)
+        ref = np.random.default_rng(seed).standard_normal((n, p))
+        ref = ref / np.linalg.norm(ref, axis=0)
+        assert np.array_equal(op.mat.view(np.int64), ref.view(np.int64))
+        del op, ref
+        op = gen_bernoulli_operator(n, p, seed)
+        ref = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n, p)) / np.sqrt(n)
+        assert np.array_equal(op.mat.view(np.int64), ref.view(np.int64))
+    else:
+        mat = np.random.default_rng(seed).standard_normal((n, p))
+        assert np.array_equal(_column_norms(mat), np.linalg.norm(mat, axis=0))
+
+
+def test_gaussian_build_holds_one_matrix():
+    # the matrix plus the n p / 8-byte finiteness mask is 1.125x its bytes;
+    # a second n x p array, such as mat * mat, would make it 2x
+    tracemalloc.start()
+    try:
+        op = gen_gaussian_operator(500, 1000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * op.mat.nbytes
+
+
+def test_dense_operator_detects_normalized_columns():
+    mat = gen_gaussian_operator(30, 60, seed=4).mat
+    assert DenseOperator(mat).columns_normalized
+    assert DenseOperator(gen_bernoulli_operator(30, 60, seed=4).mat).columns_normalized
+    assert not DenseOperator(3.0 * mat).columns_normalized
+    off = mat.copy()
+    off[:, 17] *= 1.0 + 1e-9
+    assert not DenseOperator(off).columns_normalized
+    off[:, 17] = mat[:, 17] * (1.0 + 1e-14)
+    assert DenseOperator(off).columns_normalized
 
 
 def test_partial_dct_full_square_is_orthonormal():
@@ -218,3 +269,25 @@ def test_custom_operator_wraps_callables():
     # a solver-facing surface: restricted solves work through the wrapper
     sol = solve_direct(op, [1, 4], base.apply(x))
     assert sol.x_active.shape == (2,)
+
+
+@pytest.mark.parametrize("which", ["apply_fn", "adjoint_fn"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "shape"])
+def test_custom_operator_checks_callable_output(which, bad):
+    base = gen_gaussian_operator(12, 24, seed=8)
+
+    def broken(v):
+        out = (base.apply if which == "apply_fn" else base.adjoint_apply)(v)
+        if bad == "shape":
+            return out[:-1]
+        out[3] = np.nan if bad == "nan" else -np.inf
+        return out
+
+    op = CustomOperator(12, 24,
+                        broken if which == "apply_fn" else base.apply,
+                        broken if which == "adjoint_fn" else base.adjoint_apply)
+    call = op.apply if which == "apply_fn" else op.adjoint_apply
+    arg = np.ones(24) if which == "apply_fn" else np.ones(12)
+    with pytest.raises(ValueError, match=which + (" returned shape" if bad == "shape"
+                                                   else " output contains non-finite")):
+        call(arg)

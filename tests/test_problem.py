@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from l0kit import SparseSignal, gen_gaussian_operator, gen_sparse_signal, synthesize_instance
+from l0kit import (ProblemInstance, SparseSignal, gen_gaussian_operator, gen_sparse_signal,
+                   synthesize_instance)
 
 
 def test_unit_range_signal_has_constant_magnitude():
@@ -107,3 +108,12 @@ def test_instance_rejects_bad_sigma(sigma):
     truth = gen_sparse_signal(20, 2, 1.0, seed=0)
     with pytest.raises(ValueError, match="sigma"):
         synthesize_instance(op, truth, sigma, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_instance_rejects_non_finite_y(bad):
+    op = gen_gaussian_operator(10, 20, seed=0)
+    y = np.random.default_rng(1).standard_normal(10)
+    y[4] = bad
+    with pytest.raises(ValueError, match="y contains non-finite"):
+        ProblemInstance(operator=op, y=y)
