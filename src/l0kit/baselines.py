@@ -74,9 +74,7 @@ def omp(op, y, config, truth=None):
         corr[support] = -np.inf
         support.append(int(np.argmax(corr)))
         sol = solve_direct(op, support, y, cache)
-        x = np.zeros(op.p)
-        x[np.sort(support)] = sol.x_active
-        dual = sol.dual
+        x, dual = sol.x, sol.dual
         res_norm = float(np.linalg.norm(sol.residual))
         records.append(_record(it, np.flatnonzero(x), res_norm, truth))
         if res_norm == 0.0:
@@ -108,9 +106,7 @@ def htp(op, y, config, truth=None):
             status = CONVERGED
             break
         sol = solve_direct(op, selected, y)
-        x = np.zeros(op.p)
-        x[selected] = sol.x_active
-        d = sol.dual
+        x, d = sol.x, sol.dual
         prev = selected
         res_norm = float(np.linalg.norm(sol.residual))
         records.append(_record(it, np.flatnonzero(x), res_norm, truth))
@@ -200,10 +196,7 @@ def cosamp(op, y, config, truth=None):
         merged = np.union1d(support, _top_indices(proxy, 2 * config.T))
         if merged.size > op.n:
             merged = _top_indices(proxy, op.n)  # keep the solve overdetermined
-        sol = solve_direct(op, merged, y)
-        z = np.zeros(op.p)
-        z[merged] = sol.x_active
-        x = keep_largest(z, config.T)
+        x = keep_largest(solve_direct(op, merged, y).x, config.T)
         prev, support = support, np.flatnonzero(x)
         r = y - op.apply(x)
         res_norm = float(np.linalg.norm(r))

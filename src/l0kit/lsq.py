@@ -33,8 +33,10 @@ at n = 2^16 that limit is a 137 GB block, so it bounds nothing a machine
 holds. A CG path on a 2^16 x 2^18 partial DCT that ends at |A| = 6000 was
 measured at a 729 MB peak resident size.
 
-``solve_direct(op, active, y)`` and ``solve_cg`` without a cache are the
-one-shot forms of the same code: a fresh cache that sees only A.
+Each solve returns its solution x in R^p, a new array that is zero off A, with
+the residual y - Psi x and the dual Psi^t r. ``solve_direct(op, active, y)``
+and ``solve_cg`` without a cache are the one-shot forms of the same code: a
+fresh cache that sees only A.
 """
 
 import math
@@ -70,11 +72,10 @@ class SingularGramError(RuntimeError):
 
 @dataclass
 class RestrictedLsqSolution:
-    x_active: np.ndarray      # values on the active set, in index order
-    residual: np.ndarray      # y - Psi_A x_A
+    x: np.ndarray             # the solution in R^p, zero off the active set
+    residual: np.ndarray      # y - Psi x
     dual: np.ndarray          # Psi^t residual, all p coordinates
     iterations: int           # 0 for the direct method
-    method: str               # "direct" | "cg"
     residual_norms: list | None = None  # CG normal-equation residual history
 
 
@@ -186,9 +187,9 @@ class GramCache:
 
     def _solve(self, active):
         """Cholesky solve of Psi_A^t Psi_A x_A = Psi_A^t y on a sorted index set."""
+        x = np.zeros(self.op.p)
         if active.size == 0:
-            return RestrictedLsqSolution(np.zeros(0), self.y.copy(), self.aty.copy(), 0,
-                                         "direct")
+            return RestrictedLsqSolution(x, self.y.copy(), self.aty.copy(), 0)
         if active.size > self.op.n:
             raise SingularGramError(active.size)
         slots = self._slots(active)
@@ -205,8 +206,8 @@ class GramCache:
             self._fetch(0, self.size)
         x_a, _ = dpotrs(factor, self._cty.take(slots), lower=1)
         residual = self.y - x_a @ self._cols.take(slots, 0)
-        return RestrictedLsqSolution(x_a, residual, self.op.adjoint_apply(residual), 0,
-                                     "direct")
+        x[active] = x_a
+        return RestrictedLsqSolution(x, residual, self.op.adjoint_apply(residual), 0)
 
 
 def solve_direct(op, active, y, cache=None):
@@ -276,11 +277,10 @@ def solve_cg(op, active, y, noise_level=0.0, max_iters=2, tol_factor=1e-5, cache
         p_dir = grad + (rr_new / rr) * p_dir
         rr = rr_new
         iters += 1
-    x_a = z.take(slots)
     x = np.zeros(op.p)
-    x[active] = x_a
+    x[active] = z.take(slots)
     r = y - op.apply(x)
-    return RestrictedLsqSolution(x_a, r, op.adjoint_apply(r), iters, "cg", norms)
+    return RestrictedLsqSolution(x, r, op.adjoint_apply(r), iters, norms)
 
 
 def _cache_for(op, y, cache):
@@ -292,10 +292,12 @@ def _cache_for(op, y, cache):
 
 
 def _as_index_set(active, p):
-    active = np.sort(np.asarray(active, dtype=np.intp).ravel())
-    if active.size:
-        if active[0] < 0 or active[-1] >= p:
-            raise ValueError("active-set index out of range")
-        if active.size > 1 and not (active[1:] > active[:-1]).all():
+    """``active`` sorted, as a copy only if it is not strictly increasing already."""
+    active = np.asarray(active, dtype=np.intp).ravel()
+    if active.size > 1 and not (active[1:] > active[:-1]).all():
+        active = np.sort(active)
+        if not (active[1:] > active[:-1]).all():
             raise ValueError("active set has repeated indices")
+    if active.size and (active[0] < 0 or active[-1] >= p):
+        raise ValueError("active-set index out of range")
     return active

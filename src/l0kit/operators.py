@@ -135,13 +135,15 @@ class PartialDctOperator(SensingOperator):
 
     def apply(self, x):
         x = self._check_apply_dim(x)
-        return dct(x * self._col_scale, norm="ortho")[self.rows]
+        return dct(x * self._col_scale, norm="ortho", overwrite_x=True)[self.rows]
 
     def adjoint_apply(self, r):
         r = self._check_adjoint_dim(r)
         z = np.zeros(self.p)
         z[self.rows] = r
-        return idct(z, norm="ortho") * self._col_scale
+        out = idct(z, norm="ortho", overwrite_x=True)
+        out *= self._col_scale
+        return out
 
     def columns(self, indices):
         # a transform per column, not via apply: a trace keeps fetches apart from applies
@@ -162,8 +164,11 @@ class PartialDctOperator(SensingOperator):
         """
         a = np.asarray(a, dtype=np.intp)[:, None]
         b = np.asarray(b, dtype=np.intp)[None, :]
-        scale = self._col_scale[a] * self._col_scale[b]
-        return scale * (0.5 * (self._h[np.abs(a - b)] + self._h[a + b + 1]))
+        out = self._h[np.abs(a - b)]
+        out += self._h[a + b + 1]
+        out *= 0.5
+        out *= self._col_scale[a] * self._col_scale[b]
+        return out
 
 
 class CustomOperator(SensingOperator):

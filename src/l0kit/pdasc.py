@@ -240,7 +240,9 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solv
     if r is not None and solved is not None and np.array_equal(current, solved):
         # (x, r, d) already solve the current set: select from them first; a
         # CG step refines that solution only if the selection keeps the set
-        selected = np.flatnonzero(np.abs(x + d) > thr)
+        v = x + d
+        np.abs(v, out=v)
+        selected = np.flatnonzero(v > thr)
         skip = cg is None or not np.array_equal(selected, current)
     sets = []
     status = CAP_HIT
@@ -257,10 +259,10 @@ def pdas_inner(op, y, lam, x0, d0, A0, J_max, cache=None, cg=None, r0=None, solv
             except SingularGramError as err:
                 err.lam, err.active, err.solves = lam, current, solves
                 raise
-            x = np.zeros(op.p)
-            x[current] = sol.x_active
-            r, d = sol.residual, sol.dual
-            selected = np.flatnonzero(np.abs(x + d) > thr)
+            x, r, d = sol.x, sol.residual, sol.dual
+            v = x + d
+            np.abs(v, out=v)
+            selected = np.flatnonzero(v > thr)
         skip = False
         sets.append(current)
         if selected.size == current.size and (selected == current).all():

@@ -154,10 +154,7 @@ def xi_interval_rip(delta, beta, min_abs, T):
 
 def oracle_solution(op, support, y):
     """Least-squares solution restricted to the true support, embedded in R^p."""
-    sol = solve_direct(op, support, y)
-    x = np.zeros(op.p)
-    x[np.sort(np.asarray(support, dtype=np.intp))] = sol.x_active
-    return x
+    return solve_direct(op, support, y).x
 
 
 def bruteforce_l0_min(op, y, lam, k_max):
@@ -191,8 +188,7 @@ def bruteforce_l0_min(op, y, lam, k_max):
             key = (obj, k, subset)
             if key < best_key:
                 best_key = key
-                best_x = np.zeros(op.p)
-                best_x[list(subset)] = sol.x_active
+                best_x = sol.x
     support = np.asarray(best_key[2], dtype=np.intp)
     return support, best_x, best_key[0]
 
@@ -309,7 +305,7 @@ def _onestep_context(op, instance, active):
     truth = instance.truth
     x_true = truth.dense()
     sol = solve_direct(op, active, instance.y)
-    xbar = sol.x_active - x_true[active]
+    xbar = sol.x[active] - x_true[active]
     b = np.setdiff1d(truth.support, active)
     off_true = np.setdiff1d(np.arange(op.p), np.union1d(truth.support, active))
     xb = x_true[b]

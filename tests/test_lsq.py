@@ -13,10 +13,10 @@ def test_empty_active_set():
     op = gen_gaussian_operator(10, 20, seed=0)
     y = np.random.default_rng(1).standard_normal(10)
     sol = solve_direct(op, [], y)
-    assert sol.x_active.size == 0
+    assert np.array_equal(sol.x, np.zeros(20))
     assert np.array_equal(sol.residual, y)
     assert np.allclose(sol.dual, op.adjoint_apply(y))
-    assert sol.iterations == 0 and sol.method == "direct"
+    assert sol.iterations == 0
 
 
 def test_orthonormal_columns_give_correlations():
@@ -24,14 +24,14 @@ def test_orthonormal_columns_give_correlations():
     y = np.random.default_rng(3).standard_normal(16)
     active = np.array([1, 5, 9])
     sol = solve_direct(op, active, y)
-    assert np.max(np.abs(sol.x_active - op.adjoint_apply(y)[active])) <= 1e-10
+    assert np.max(np.abs(sol.x[active] - op.adjoint_apply(y)[active])) <= 1e-10
 
 
 def test_example1_restricted_solve():
     # x_1 = (1+mu)^2/(1+mu^2) = 0.2 at mu = -0.5
     op, y = example1_pair(mu=-0.5)
     sol = solve_direct(op, [0], y)
-    assert abs(sol.x_active[0] - 0.2) <= 1e-14
+    assert abs(sol.x[0] - 0.2) <= 1e-14
 
 
 def test_normal_equations_satisfied():
@@ -63,8 +63,8 @@ def test_pivot_test_is_relative_to_the_gram_diagonal():
     tiny = DenseOperator(base.mat * 1e-7)
     y = np.random.default_rng(4).standard_normal(50)
     active = np.arange(10)
-    expected = solve_direct(base, active, y).x_active * 1e7
-    got = solve_direct(tiny, active, y).x_active
+    expected = solve_direct(base, active, y).x[active] * 1e7
+    got = solve_direct(tiny, active, y).x[active]
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
     # a repeated column is still singular at that scale
     mat = tiny.mat.copy()
@@ -77,21 +77,34 @@ def test_active_set_validation():
     op = gen_gaussian_operator(5, 10, seed=0)
     with pytest.raises(ValueError):
         solve_direct(op, [0, 0], np.ones(5))
+    with pytest.raises(ValueError, match="repeated"):
+        solve_direct(op, [9, 2, 9], np.ones(5))
     with pytest.raises(ValueError):
         solve_direct(op, [11], np.ones(5))
+
+
+def test_unsorted_active_set_gives_the_sorted_solve():
+    op = gen_gaussian_operator(20, 40, seed=2)
+    y = np.random.default_rng(3).standard_normal(20)
+    active = np.array([30, 2, 17, 9])
+    kept = active.copy()
+    for solve in (solve_direct, solve_cg):
+        got, want = solve(op, active, y), solve(op, np.sort(active), y)
+        for a, b in ((got.x, want.x), (got.residual, want.residual), (got.dual, want.dual)):
+            assert np.array_equal(a, b)
+    assert np.array_equal(active, kept)   # sorted as a copy, not in place
 
 
 def test_cg_zero_iterations_from_exact_warm_start():
     op = gen_gaussian_operator(30, 60, seed=7)
     y = np.random.default_rng(8).standard_normal(30)
     active = np.arange(6)
-    exact = solve_direct(op, active, y).x_active
-    x = np.zeros(60)
-    x[active] = exact
+    x = solve_direct(op, active, y).x
+    exact = x[active]
     sol = solve_cg(op, active, y, noise_level=np.linalg.norm(y), max_iters=10,
                    tol_factor=1e-5, start=x)
     assert sol.iterations <= 1
-    assert np.max(np.abs(sol.x_active - exact)) <= 1e-8
+    assert np.max(np.abs(sol.x[active] - exact)) <= 1e-8
 
 
 def test_cg_orthonormal_converges_in_one_iteration():
@@ -100,7 +113,7 @@ def test_cg_orthonormal_converges_in_one_iteration():
     active = np.array([0, 3, 7, 11])
     sol = solve_cg(op, active, y, noise_level=1.0, max_iters=50, tol_factor=1e-12)
     assert sol.iterations == 1
-    assert np.max(np.abs(sol.x_active - op.adjoint_apply(y)[active])) <= 1e-10
+    assert np.max(np.abs(sol.x[active] - op.adjoint_apply(y)[active])) <= 1e-10
 
 
 def test_cg_matches_direct_on_dense_gaussian():
@@ -111,7 +124,8 @@ def test_cg_matches_direct_on_dense_gaussian():
         active = np.sort(rng.choice(100, size=10, replace=False))
         direct = solve_direct(op, active, y)
         cg = solve_cg(op, active, y, noise_level=1.0, max_iters=50, tol_factor=1e-12)
-        rel = np.linalg.norm(cg.x_active - direct.x_active) / np.linalg.norm(direct.x_active)
+        rel = (np.linalg.norm(cg.x[active] - direct.x[active])
+               / np.linalg.norm(direct.x[active]))
         assert rel <= 1e-8
 
 
@@ -129,9 +143,7 @@ def test_cg_residual_is_recomputed_consistently():
                 start[active] = warm
             sol = solve_cg(op, active, y, noise_level=1.0, max_iters=2, start=start)
             assert sol.iterations == 2
-            x = np.zeros(op.p)
-            x[active] = sol.x_active
-            fresh = y - op.apply(x)
+            fresh = y - op.apply(sol.x)
             assert np.max(np.abs(sol.residual - fresh)) <= 1e-12
             assert np.max(np.abs(sol.dual - op.adjoint_apply(fresh))) <= 1e-12
 
@@ -153,7 +165,7 @@ def test_cg_start_with_entries_off_the_set_matches_fresh_start():
     on_set[active] = x[active]
     fresh = solve_cg(op, active, y, max_iters=2, start=on_set, cache=cache)
     assert (op.applies, op.adjoints) == (2, 3)
-    for a, b in ((carried.x_active, fresh.x_active), (carried.residual, fresh.residual),
+    for a, b in ((carried.x, fresh.x), (carried.residual, fresh.residual),
                  (carried.dual, fresh.dual)):
         assert np.array_equal(a, b)
     assert np.array_equal(x, kept)   # the start is not modified
@@ -179,8 +191,7 @@ def test_cg_solve_makes_one_apply_and_adjoint(max_iters, off_set):
                        cache=cache, start=start)
         assert sol.iterations == max_iters
         assert (op.applies, op.adjoints) == (solves, solves + 1)   # and Psi^t y once
-        start = np.zeros(256)
-        start[active] = sol.x_active
+        start = sol.x
     assert op.fetched == []
 
 
@@ -232,7 +243,7 @@ def test_cg_checks_the_start_on_the_set_only():
     start = np.zeros(20)
     start[7] = np.nan   # dropped with every other entry off the set
     sol = solve_cg(op, [1, 2, 5], y, start=start)
-    assert np.isfinite(sol.x_active).all()
+    assert np.isfinite(sol.x).all()
 
 
 def _rel(a, b):
@@ -252,14 +263,38 @@ def test_cache_matches_fresh_solves():
             if active and i % 2:   # a CG solve first: Gram rows, no columns
                 cached = solve_cg(op, active, y, max_iters=3, cache=cache)
                 fresh = solve_cg(op, active, y, max_iters=3)
-                assert _rel(cached.x_active, fresh.x_active) <= 1e-12
+                assert _rel(cached.x[active], fresh.x[active]) <= 1e-12
             cached = solve_direct(op, active, y, cache)
             fresh = solve_direct(op, active, y)
             assert cache.size <= cache.limit == 20
             if active:
-                assert _rel(cached.x_active, fresh.x_active) <= 1e-12
+                assert _rel(cached.x[active], fresh.x[active]) <= 1e-12
             assert _rel(cached.residual, fresh.residual) <= 1e-12
             assert _rel(cached.dual, fresh.dual) <= 1e-12
+
+
+@pytest.mark.parametrize("generator", [gen_gaussian_operator, gen_partial_dct_operator],
+                         ids=["dense", "dct"])
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("solve", [solve_direct, solve_cg], ids=["direct", "cg"])
+def test_solution_lives_in_r_p_and_is_the_callers_own(generator, cached, solve):
+    # x has length p and vanishes off A; each solve returns a new array, so
+    # writing into one leaves a repeat solve on the same cache unchanged
+    op = generator(32, 128, seed=40)
+    y = np.random.default_rng(41).standard_normal(32)
+    active = np.array([3, 17, 64, 100, 127])
+    cache = GramCache(op, y) if cached else None
+    first = solve(op, active, y, cache=cache)
+    assert first.x.shape == (op.p,)
+    assert not np.delete(first.x, active).any() and np.all(first.x[active] != 0.0)
+    kept = first.x.copy()
+    first.x[:] = 7.0
+    again = solve(op, active, y, cache=cache)
+    assert again.x is not first.x and np.array_equal(again.x, kept)
+    if cached:
+        empty = solve_direct(op, [], y, cache)
+        empty.x[:] = 1.0
+        assert not solve_direct(op, [], y, cache).x.any()
 
 
 @pytest.mark.parametrize("op", [gen_gaussian_operator(64, 256, seed=30),
@@ -284,7 +319,7 @@ def test_cg_on_a_wider_cache_matches_a_one_shot_solve(op):
         fresh = solve_cg(op, active, y, noise_level=0.0, max_iters=6, tol_factor=0.0,
                          start=warm)
         assert cached.iterations == fresh.iterations == 6
-        assert _rel(cached.x_active, fresh.x_active) <= 1e-13
+        assert _rel(cached.x[active], fresh.x[active]) <= 1e-13
         assert _rel(np.array(cached.residual_norms), np.array(fresh.residual_norms)) <= 1e-13
         assert _rel(cached.residual, fresh.residual) <= 1e-13
 
@@ -349,7 +384,7 @@ def test_full_cache_starts_over_from_the_solve_set():
     active = [0, 1, 18, 19, 20]   # 3 unseen indices pass the limit
     cached = solve_direct(op, active, y, cache)
     assert cache.size == len(active)
-    assert _rel(cached.x_active, solve_direct(op, active, y).x_active) <= 1e-12
+    assert _rel(cached.x[active], solve_direct(op, active, y).x[active]) <= 1e-12
 
 
 def test_cache_rejects_other_data():
